@@ -22,6 +22,44 @@ func denseSet(n int) *RangeSet {
 	return &s
 }
 
+// twoStream replays the two address streams of the paper's Fig. 1 copy
+// loop over denseSet(256), about the mean set size of the benchmark's
+// drain corpus: a load (ldrh) reading the lower half two bytes at a time
+// and a store (strh) writing the upper half the same way, in turn. The
+// stores taint or, with untaint set, untaint their destination. When the
+// store stream reaches the end of the set, the set's ranges are restored,
+// so every pass sees the same set; the cursors are left as they are.
+type twoStream struct {
+	s       *RangeSet
+	orig    []mem.Range
+	bytes   uint64
+	untaint bool
+	off     mem.Addr // both streams' offset into their half
+}
+
+const twoStreamHalf = 128 * 16 // bytes per stream: 128 ranges
+
+func newTwoStream(untaint bool) *twoStream {
+	s := denseSet(256)
+	return &twoStream{s: s, orig: s.Ranges(), bytes: s.Bytes(), untaint: untaint}
+}
+
+// step issues one load and one store.
+func (t *twoStream) step() {
+	t.s.Overlaps(mem.Range{Start: t.off, End: t.off + 1})
+	dst := mem.Range{Start: twoStreamHalf + t.off, End: twoStreamHalf + t.off + 1}
+	if t.untaint {
+		t.s.Remove(dst)
+	} else {
+		t.s.Add(dst)
+	}
+	if t.off += 2; t.off == twoStreamHalf {
+		t.off = 0
+		t.s.ranges = append(t.s.ranges[:0], t.orig...)
+		t.s.bytes = t.bytes
+	}
+}
+
 func BenchmarkRangeSetAdd(b *testing.B) {
 	b.Run("hit", func(b *testing.B) { // re-taint an already covered range
 		s := denseSet(512)
@@ -97,6 +135,14 @@ func BenchmarkRangeSetRemove(b *testing.B) {
 			s.Add(mem.Range{Start: 1024, End: 1031})
 		}
 	})
+	b.Run("two-stream", func(b *testing.B) { // copy loop whose stores untaint; one op = a load and a store
+		t := newTwoStream(true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.step()
+		}
+	})
 }
 
 func BenchmarkRangeSetOverlaps(b *testing.B) {
@@ -122,6 +168,23 @@ func BenchmarkRangeSetOverlaps(b *testing.B) {
 			s.Overlaps(mem.Range{Start: 1032, End: 1039})
 		}
 	})
+	b.Run("hit-scattered-2048", func(b *testing.B) { // a full search every time, over 2048 ranges
+		s := denseSet(2048)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := mem.Addr((i * 2654435761) % (2048 * 16))
+			s.Overlaps(mem.Range{Start: a, End: a + 1})
+		}
+	})
+	b.Run("two-stream", func(b *testing.B) { // copy loop whose stores taint; one op = a load and a store
+		t := newTwoStream(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.step()
+		}
+	})
 }
 
 // TestRangeSetHotPathAllocationFree is the acceptance gate for the
@@ -129,6 +192,11 @@ func BenchmarkRangeSetOverlaps(b *testing.B) {
 // count oscillating around a stable size, backing array at its high-water
 // capacity — queries and every Add/Remove shape must not allocate.
 func TestRangeSetHotPathAllocationFree(t *testing.T) {
+	taint, untaint := newTwoStream(false), newTwoStream(true)
+	for i := 0; i < twoStreamHalf; i++ { // one whole pass warms each set's capacity
+		taint.step()
+		untaint.step()
+	}
 	s := denseSet(512)
 	// Warm every capacity high-water the ops below will need.
 	s.Add(mem.Range{Start: 8, End: 15})
@@ -156,14 +224,18 @@ func TestRangeSetHotPathAllocationFree(t *testing.T) {
 			s.Add(mem.Range{Start: 1024, End: 1031})
 		}},
 		{"Remove/miss", func() { s.Remove(mem.Range{Start: 1032, End: 1039}) }},
+		{"two-stream/taint", taint.step},
+		{"two-stream/untaint", untaint.step},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(1000, c.op); n != 0 {
 			t.Errorf("%s allocates %v times per op", c.name, n)
 		}
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	for _, s := range []*RangeSet{s, taint.s, untaint.s} {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -25,17 +25,23 @@ import (
 
 // RangeSet is a normalized set of inclusive address ranges. The zero value
 // is an empty set ready to use. RangeSet is not safe for concurrent use:
-// even read-only queries update the internal last-hit search cache.
+// even read-only queries update the internal search cursors.
 type RangeSet struct {
 	// ranges is sorted by Start; entries neither overlap nor touch.
 	ranges []mem.Range
 	bytes  uint64
-	// hint caches the most recent searchStart result. The paper's
-	// locality argument (§5.1: short load→store distances) means
-	// consecutive lookups overwhelmingly land in the same range, so the
-	// cached index usually verifies in two comparisons and the binary
-	// search is skipped entirely.
-	hint int
+	// look and mut hold the last search answer of each of the set's two
+	// access streams: look for the lookups (Overlaps, Contains,
+	// IntersectBytes), mut for the mutations (Add, Remove). Algorithm 1
+	// looks up on loads and mutates on stores, and a copy loop's loads
+	// and stores walk different buffers (the ldrh source and strh
+	// destination of Fig. 1), so one shared index would be dragged back
+	// and forth between them. Each stream on its own is local (§5.1), so
+	// its cursor usually verifies in two comparisons and the binary
+	// search is skipped. Only search writes a cursor: a mutation leaves
+	// mut at its own answer from before the splice, which stays right
+	// for a repeated store to the same slot.
+	look, mut int
 }
 
 // Count returns the number of distinct (maximal) tainted ranges.
@@ -51,7 +57,7 @@ func (s *RangeSet) Empty() bool { return len(s.ranges) == 0 }
 func (s *RangeSet) Clear() {
 	s.ranges = s.ranges[:0]
 	s.bytes = 0
-	s.hint = 0
+	s.look, s.mut = 0, 0
 }
 
 // Ranges returns a copy of the normalized ranges in ascending order.
@@ -69,33 +75,48 @@ func (s *RangeSet) AppendRanges(dst []mem.Range) []mem.Range {
 	return append(dst, s.ranges...)
 }
 
-// searchStart returns the index of the first range with Start >= addr.
-func (s *RangeSet) searchStart(addr mem.Addr) int {
-	n := len(s.ranges)
-	// Last-hit fast path: the cached index is the answer iff it still
-	// satisfies the binary-search postcondition.
-	if h := s.hint; h <= n &&
-		(h == n || s.ranges[h].Start >= addr) &&
-		(h == 0 || s.ranges[h-1].Start < addr) {
+// search returns the index of the first range with Start >= addr. It
+// tries the cursor *c first and leaves the answer in it. The cursor is the
+// answer iff it satisfies the search postcondition
+// ranges[h-1].Start < addr <= ranges[h].Start, so a cursor left stale by
+// a mutation costs a search, never a wrong answer.
+func (s *RangeSet) search(c *int, addr mem.Addr) int {
+	rs := s.ranges
+	if h := *c; h <= len(rs) &&
+		(h == len(rs) || rs[h].Start >= addr) &&
+		(h == 0 || rs[h-1].Start < addr) {
 		return h
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.ranges[mid].Start >= addr {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	i := lowerBound(rs, addr)
+	*c = i
+	return i
+}
+
+// lowerBound returns the index of the first range in rs with Start >=
+// addr. It halves the candidate window [base, base+n] without a
+// data-dependent branch: (Start - addr) >> 63 is all ones when Start <
+// addr and zero otherwise, so the mask selects whether base moves. A
+// cursor miss is exactly the case where the comparisons are
+// unpredictable, and a conditional jump there mispredicts about every
+// other probe; the loop itself runs a count fixed by len(rs).
+func lowerBound(rs []mem.Range, addr mem.Addr) int {
+	n := len(rs)
+	if n == 0 {
+		return 0
 	}
-	s.hint = lo
-	return lo
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half & int((int64(rs[base+half].Start)-int64(addr))>>63)
+		n -= half
+	}
+	return base - int((int64(rs[base].Start)-int64(addr))>>63)
 }
 
 // Overlaps reports whether any byte of r is tainted — the paper's lookup:
 // ∃ ri ∈ R with max(si, sL) <= min(ei, eL).
 func (s *RangeSet) Overlaps(r mem.Range) bool {
-	i := s.searchStart(r.Start)
+	i := s.search(&s.look, r.Start)
 	// A range beginning before r.Start may still cover it.
 	if i > 0 && s.ranges[i-1].End >= r.Start {
 		return true
@@ -114,7 +135,7 @@ func (s *RangeSet) Contains(addr mem.Addr) bool {
 // pure insert yields +1).
 func (s *RangeSet) Add(r mem.Range) (bytesAdded uint64, rangesDelta int) {
 	// Find the window of existing ranges that r overlaps or touches.
-	lo := s.searchStart(r.Start)
+	lo := s.search(&s.mut, r.Start)
 	if lo > 0 && s.ranges[lo-1].End != ^mem.Addr(0) && s.ranges[lo-1].End+1 >= r.Start {
 		lo--
 	}
@@ -147,7 +168,6 @@ func (s *RangeSet) Add(r mem.Range) (bytesAdded uint64, rangesDelta int) {
 		s.ranges = s.ranges[:lo+1+n]
 	}
 	s.ranges[lo] = merged
-	s.hint = lo
 	return bytesAdded, 1 - (hi - lo)
 }
 
@@ -156,7 +176,7 @@ func (s *RangeSet) Add(r mem.Range) (bytesAdded uint64, rangesDelta int) {
 // the signed change in the distinct-range count (+1 on a mid-range split,
 // -k when k ranges vanish entirely).
 func (s *RangeSet) Remove(r mem.Range) (bytesRemoved uint64, rangesDelta int) {
-	lo := s.searchStart(r.Start)
+	lo := s.search(&s.mut, r.Start)
 	if lo > 0 && s.ranges[lo-1].End >= r.Start {
 		lo--
 	}
@@ -200,7 +220,6 @@ func (s *RangeSet) Remove(r mem.Range) (bytesRemoved uint64, rangesDelta int) {
 		copy(s.ranges[hi+1:], s.ranges[hi:])
 		copy(s.ranges[lo:], repl[:nrepl])
 	}
-	s.hint = lo
 	return bytesRemoved, nrepl - (hi - lo)
 }
 
@@ -208,7 +227,7 @@ func (s *RangeSet) Remove(r mem.Range) (bytesRemoved uint64, rangesDelta int) {
 // diagnostics and partial-taint reporting at sinks.
 func (s *RangeSet) IntersectBytes(r mem.Range) uint64 {
 	var n uint64
-	i := s.searchStart(r.Start)
+	i := s.search(&s.look, r.Start)
 	if i > 0 {
 		i--
 	}
@@ -241,8 +260,8 @@ func (s *RangeSet) String() string {
 	return b.String()
 }
 
-// checkInvariants panics if the normalization invariant is violated; tests
-// call it through Validate.
+// checkInvariants returns an error describing the first violated
+// normalization invariant, or nil; tests call it through Validate.
 func (s *RangeSet) checkInvariants() error {
 	var bytes uint64
 	for i, r := range s.ranges {
