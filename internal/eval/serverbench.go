@@ -26,8 +26,8 @@ import (
 
 // ServerBenchResult is the JSON artifact piftbench -exp server writes.
 // Scaling rows measure end-to-end ingest through the HTTP boundary —
-// spool, sharded decode, split/merge, ack — not just tracker math, so
-// the gate certifies what a tenant actually experiences.
+// body read, decode, split, sharded analysis, merge, ack — not just
+// tracker math, so the gate certifies what a tenant actually experiences.
 type ServerBenchResult struct {
 	Config  core.Config `json:"config"`
 	Events  int         `json:"events"`
@@ -47,9 +47,11 @@ type ServerBenchResult struct {
 // over one seeded multi-process corpus serialized in format f,
 // best-of-repeats. Every run's verdicts are checked against the
 // sequential replay in canonical order, so a scaling number can never be
-// quoted on a wrong answer. Worker count 1 disables parallel ingest
-// entirely — it is the sequential baseline the speedup column is
-// relative to.
+// quoted on a wrong answer. At worker count 1 every request runs at
+// grant 1, applying each decoded batch to the session tracker in place;
+// that row is the baseline the speedup column is relative to. Larger
+// counts take the same route with the batches handed to a pipeline over
+// the tracker's PID shards.
 func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) (*ServerBenchResult, error) {
 	if repeats < 1 {
 		repeats = 3
@@ -78,8 +80,6 @@ func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f tra
 			IngestWorkers:     n,
 			WorkerBudget:      n,
 			ParallelThreshold: 1,
-			SpoolMemBytes:     int64(len(raw)) + 1, // spool in memory, measure compute not disk
-			MaxSpoolBytes:     int64(len(raw)) + 1,
 		})
 		if err != nil {
 			os.RemoveAll(dir)

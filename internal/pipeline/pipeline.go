@@ -122,22 +122,28 @@ func ShardOf(pid uint32, workers int) int {
 // Event implements cpu.EventSink: route the event to its PID's shard,
 // flushing the shard's batch when full. A full worker queue blocks here —
 // that is the backpressure contract.
-func (p *Pipeline) Event(ev cpu.Event) {
+func (p *Pipeline) Event(ev cpu.Event) { p.EventBatch([]cpu.Event{ev}) }
+
+// EventBatch is Event for a run of events in stream order, in one loop: a
+// producer that already holds decoded batches pays one call per batch
+// rather than one per event.
+func (p *Pipeline) EventBatch(evs []cpu.Event) {
 	if p.closed {
 		panic("pipeline: Event after Close")
 	}
-	i := 0
-	if len(p.workers) > 1 {
-		i = shard(ev.PID, len(p.workers))
+	for _, ev := range evs {
+		i := 0
+		if len(p.workers) > 1 {
+			i = shard(ev.PID, len(p.workers))
+		}
+		b := append(p.pending[i], ev)
+		if len(b) >= p.opts.BatchSize {
+			p.send(p.workers[i], b)
+			b = p.batch()
+		}
+		p.pending[i] = b
 	}
-	b := append(p.pending[i], ev)
-	p.events++
-	p.m.EventsDispatched.Inc()
-	if len(b) >= p.opts.BatchSize {
-		p.send(p.workers[i], b)
-		b = p.batch()
-	}
-	p.pending[i] = b
+	p.events += uint64(len(evs))
 }
 
 // Offset returns the number of events dispatched over the pipeline's
@@ -170,6 +176,7 @@ func (p *Pipeline) Sync() {
 // push.
 func (p *Pipeline) send(w *worker, b []cpu.Event) {
 	p.inflight.Add(1)
+	p.m.EventsDispatched.Add(uint64(len(b)))
 	p.m.BatchesDispatched.Inc()
 	p.m.BatchEvents.Observe(float64(len(b)))
 	// Depth counts batches handed off but not yet fully analyzed. The

@@ -113,9 +113,7 @@ func (p *Pipeline) drainBatched(ctx context.Context, src BatchSource) (Result, e
 			}
 		}
 		n, err := src.NextBatch(buf[:limit])
-		for _, ev := range buf[:n] {
-			p.Event(ev)
-		}
+		p.EventBatch(buf[:n])
 		if n > 0 {
 			if cerr := p.maybeCheckpoint(); cerr != nil {
 				p.Close()

@@ -25,9 +25,7 @@ type serverMetrics struct {
 	ingestSeconds   *metrics.Histogram
 
 	parallelIngests    *metrics.Counter // requests committed through the sharded pipeline
-	parallelFallbacks  *metrics.Counter // parallel drains that fell back to sequential replay
 	workersLoaned      *metrics.Gauge   // pipeline workers currently loaned to sessions
-	spoolBytes         *metrics.Counter // request bytes captured into ingest spools
 	peekHits           *metrics.Counter // spilled-session queries served from the snapshot cache
 	peekMisses         *metrics.Counter // spilled-session queries that decoded a snapshot
 	spillBatches       *metrics.Counter // grouped eviction write bursts
@@ -60,9 +58,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	m.ingestSeconds = r.Histogram("pift_server_ingest_seconds", "wall time of one ingest request", metrics.LatencyBuckets)
 
 	m.parallelIngests = r.Counter("pift_server_parallel_ingests_total", "ingest requests committed through the sharded pipeline")
-	m.parallelFallbacks = r.Counter("pift_server_parallel_fallbacks_total", "parallel drains that fell back to the sequential path")
 	m.workersLoaned = r.Gauge("pift_server_ingest_workers_loaned", "pipeline workers currently loaned to parallel ingests")
-	m.spoolBytes = r.Counter("pift_server_spool_bytes_total", "request bytes captured into ingest spools")
 	m.peekHits = r.Counter("pift_server_peek_cache_hits_total", "spilled-session queries served from the snapshot cache")
 	m.peekMisses = r.Counter("pift_server_peek_cache_misses_total", "spilled-session queries that decoded a spill snapshot")
 	m.spillBatches = r.Counter("pift_server_spill_batches_total", "grouped eviction write bursts")

@@ -1,52 +1,28 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 )
 
-// Parallel per-session ingest. A session's tracker splits by PID onto N
-// pipeline shards (core.Tracker.SplitByPID with the pipeline's own shard
-// function), the request body drains through the sharded pipeline, and
-// the shards merge back into one tracker (core.MergeTrackers). Sharding
-// by PID preserves semantics — all tracker state is per-process — so a
-// parallel session's verdicts and ack offsets are identical to the
-// sequential session's: byte-identical on single-PID tenant streams,
-// canonical-order-identical on multi-PID streams (the session stores
-// verdicts in the canonical (PID, Seq, Tag) order either way).
-//
-// Two drain shapes, chosen per request:
-//
-//	spooled    the body (header included) is copied to memory or a temp
-//	           file first, then the shard-owned seekable drain
-//	           (Pipeline.DrainTrace) consumes it — decode itself fans
-//	           out. All-or-nothing: any failure abandons the shard copies
-//	           (the session tracker is untouched) and the spooled prefix
-//	           replays through the legacy sequential loop, reproducing
-//	           its exact partial-commit ack and error classification.
-//	streaming  bodies too big to spool push through Pipeline.Drain with
-//	           externally-owned commits: at every CommitEvery-aligned
-//	           absolute offset the shards quiesce and merge into a commit
-//	           tracker, and a mid-stream failure rolls the session back
-//	           to the last such boundary — the ack is coarser than the
-//	           sequential path's but the resume contract is the same.
-//
-// Failure of any parallel machinery (split, seed, drain, merge) is never
-// an error the client sees that the sequential path wouldn't have
-// produced: the request falls back to sequential semantics instead.
+// Parallel per-session ingest. A request granted more than one worker
+// splits the session tracker by PID onto that many pipeline shards
+// (core.Tracker.SplitByPID with the pipeline's own shard function), feeds
+// the shards from the request's one decode loop, and merges them back
+// into one tracker (core.MergeTrackers). Sharding by PID preserves
+// semantics — all tracker state is per-process — so a parallel session's
+// verdicts and acks are identical to a 1-worker session's: byte-identical
+// on single-PID tenant streams, canonical-order-identical on multi-PID
+// streams (the session stores verdicts in the canonical (PID, Seq, Tag)
+// order either way).
 
 // workerBudget is the global loan pool for parallel-ingest shards: a
 // counting semaphore holding Config.WorkerBudget tokens. Hot sessions
 // borrow their shard count for the duration of one request; when the
-// pool runs dry, later requests simply run sequentially — admission
+// pool runs dry, later requests simply run at grant 1 — admission
 // control degrades throughput, never correctness.
 type workerBudget struct {
 	tokens chan struct{}
@@ -81,11 +57,11 @@ func (b *workerBudget) release(n int) {
 	}
 }
 
-// grantWorkers decides a request's shard count: 1 (sequential) when
-// parallel ingest is disabled, the request is below the threshold, or
-// the budget cannot cover at least two shards; otherwise the configured
-// worker count, borrowed from the global budget. A grant > 1 must be
-// released by the caller.
+// grantWorkers decides a request's shard count: 1 when parallel ingest is
+// disabled, the request is below the threshold, or the budget cannot
+// cover at least two shards; otherwise the configured worker count,
+// borrowed from the global budget. A grant > 1 must be returned with
+// releaseWorkers.
 func (s *Server) grantWorkers(remaining uint64) int {
 	if s.cfg.IngestWorkers <= 1 || remaining < s.cfg.ParallelThreshold {
 		return 1
@@ -95,238 +71,42 @@ func (s *Server) grantWorkers(remaining uint64) int {
 		s.budget.release(got)
 		return 1
 	}
+	s.m.workersLoaned.Add(int64(got))
 	return got
 }
 
-// spool is a request body captured for seekable decode: the 16-byte wire
-// header plus however much of the declared payload arrived, in memory or
-// in an unlinked temp file.
-type spool struct {
-	mem      []byte
-	f        *os.File
-	size     int64 // bytes captured, header included
-	complete bool
-	err      error // terminal body error when !complete (never io.EOF)
+func (s *Server) releaseWorkers(grant int) {
+	s.budget.release(grant)
+	s.m.workersLoaned.Add(int64(-grant))
 }
 
-func (sp *spool) readerAt() io.ReaderAt {
-	if sp.f != nil {
-		return sp.f
-	}
-	return bytes.NewReader(sp.mem[:sp.size])
-}
-
-func (sp *spool) close() {
-	if sp.f != nil {
-		name := sp.f.Name()
-		sp.f.Close()
-		os.Remove(name)
-	}
-}
-
-// spoolBody captures expect bytes of the request (the pre-read header
-// plus the body) for seekable decode. A body that ends or errors early
-// yields an incomplete spool carrying the terminal error; nil means the
-// spool could not even be set up (temp-file creation failed) and no body
-// byte has been consumed, so the caller can still stream.
-func (s *Server) spoolBody(hdr []byte, body io.Reader, expect int64) *spool {
-	sp := &spool{}
-	if expect <= s.cfg.SpoolMemBytes {
-		sp.mem = make([]byte, expect)
-		copy(sp.mem, hdr)
-		n, err := io.ReadFull(body, sp.mem[len(hdr):])
-		sp.size = int64(len(hdr) + n)
-		sp.complete = err == nil
-		sp.err = normalizeCut(err)
-		return sp
-	}
-	f, err := os.CreateTemp(s.cfg.SpillDir, "ingest-*.spool")
-	if err != nil {
-		return nil
-	}
-	sp.f = f
-	if _, werr := f.Write(hdr); werr != nil {
-		// A disk that refuses the header refuses everything: stream instead.
-		sp.close()
-		return nil
-	}
-	n, err := io.CopyN(f, body, expect-int64(len(hdr)))
-	sp.size = int64(len(hdr)) + n
-	sp.complete = err == nil
-	// A write-side failure (disk full mid-spool) lands here too: body
-	// bytes past the failure are gone, so it is handled like a cut body —
-	// replay the durable prefix, ack it, and let the client resume.
-	sp.err = normalizeCut(err)
-	return sp
-}
-
-// normalizeCut maps a clean EOF onto io.ErrUnexpectedEOF: the header
-// declared more bytes, so running dry early is a truncation, matching
-// what the in-line trace reader reports at the same position.
-func normalizeCut(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// ingestParallel drains one request through grant pipeline shards.
-// Caller holds sess.mu and the worker grant; hdr is the complete
-// pre-read 16-byte wire header; expect is the total request size in
-// bytes, header included — exact record arithmetic for PIFTTRC1, the
-// transport's Content-Length for PIFTTRC2, non-positive when the
-// transport didn't say (chunked v2). finishIngest is the caller's.
-func (s *Server) ingestParallel(sess *session, body io.Reader, hdr []byte, expect int64, declared, skip uint64, grant int, resp IngestResponse) (IngestResponse, *IngestError) {
-	if expect < int64(len(hdr)) || s.cfg.MaxSpoolBytes < 0 || expect > s.cfg.MaxSpoolBytes {
-		return s.ingestStreaming(sess, body, hdr, declared, skip, grant, resp)
-	}
-	sp := s.spoolBody(hdr, body, expect)
-	if sp == nil {
-		return s.ingestStreaming(sess, body, hdr, declared, skip, grant, resp)
-	}
-	defer sp.close()
-	s.m.spoolBytes.Add(uint64(sp.size))
-	if sp.complete && s.drainTraceParallel(sess, sp.readerAt(), declared, skip, grant, &resp) {
-		return resp, nil
-	}
-
-	// Torn body, or the parallel drain declined (it left the session
-	// tracker untouched): replay the spooled prefix through the legacy
-	// sequential loop. The replay reader ends with the body's own
-	// terminal error, so partial-commit acks and error classes are
-	// byte-identical to a sequential server reading the same connection.
-	var src io.Reader = io.NewSectionReader(sp.readerAt(), 0, sp.size)
-	if !sp.complete {
-		src = &tornTail{r: src, err: sp.err}
-	}
-	tr, err := trace.NewReader(src)
-	if err != nil {
-		return resp, classifyIngest(err)
-	}
-	if skip > 0 {
-		if err := tr.Skip(skip); err != nil {
-			return resp, classifyIngest(err)
-		}
-	}
-	return resp, drainSequential(sess, tr, &resp)
-}
-
-// drainTraceParallel runs the all-or-nothing spooled drain: split the
-// session tracker, seed a pipeline at the body-local resume offset, let
-// the shard-owned readers consume the spool, merge. Reports whether the
-// session was updated; false leaves sess.tr exactly as it was.
-func (s *Server) drainTraceParallel(sess *session, ra io.ReaderAt, declared, skip uint64, grant int, resp *IngestResponse) bool {
+// seedPipeline splits sess's tracker into grant PID shards and starts a
+// pipeline over them. The split copies, so sess.tr stays the committed
+// state until a successful merge replaces it.
+func (s *Server) seedPipeline(sess *session, grant int) (*pipeline.Pipeline, error) {
 	parts, err := sess.tr.SplitByPID(grant, func(pid uint32) int { return pipeline.ShardOf(pid, grant) })
 	if err != nil {
-		s.m.parallelFallbacks.Inc()
-		return false
+		return nil, err
 	}
-	p, err := pipeline.NewSeeded(pipeline.Options{Metrics: s.cfg.Registry}, parts, skip)
-	if err != nil {
-		s.m.parallelFallbacks.Inc()
-		return false
-	}
-	// The body is fully spooled, so no request context can cancel work
-	// that is already paid for.
-	res, err := p.DrainTrace(context.Background(), ra)
-	if err != nil || res.Err != nil {
-		s.m.parallelFallbacks.Inc()
-		return false
-	}
-	merged, err := core.MergeTrackers(p.ShardTrackers())
-	if err != nil {
-		s.m.parallelFallbacks.Inc()
-		return false
-	}
-	sess.tr = merged
-	n := declared - skip
-	sess.acked.Add(n)
-	resp.Ingested += n
-	s.m.parallelIngests.Inc()
-	return true
+	opts := pipeline.Options{Metrics: s.cfg.Registry, Observer: s.observe}
+	return pipeline.NewSeeded(opts, parts, sess.acked.Load())
 }
 
-// ingestStreaming drains a too-big-to-spool body through the pipeline's
-// push path with externally-owned commits: every CommitEvery-aligned
-// absolute offset quiesces the shards and merges them into a rollback
-// tracker, so a mid-stream failure commits the session at the last
-// boundary and the client resumes from a boundary ack.
-func (s *Server) ingestStreaming(sess *session, body io.Reader, hdr []byte, declared, skip uint64, grant int, resp IngestResponse) (IngestResponse, *IngestError) {
-	acked0 := sess.acked.Load()
-	parts, err := sess.tr.SplitByPID(grant, func(pid uint32) int { return pipeline.ShardOf(pid, grant) })
-	if err != nil {
-		return s.streamSequential(sess, body, hdr, skip, resp)
+// closeAndMerge drains the pipeline and folds its shards into one
+// tracker, failing if any shard faulted.
+func closeAndMerge(p *pipeline.Pipeline) (*core.Tracker, error) {
+	if res := p.Close(); res.Err != nil {
+		return nil, res.Err
 	}
-	committed := sess.tr // rollback point; advanced by each aligned commit
-	var committedNew uint64
-	opts := pipeline.Options{
-		Metrics:         s.cfg.Registry,
-		CheckpointEvery: s.cfg.CommitEvery,
-		OnCheckpoint: func(p *pipeline.Pipeline) error {
-			p.Sync()
-			m, merr := core.MergeTrackers(p.ShardTrackers())
-			if merr != nil {
-				return merr
-			}
-			committed = m
-			committedNew = p.Offset() - acked0
-			return nil
-		},
-	}
-	p, err := pipeline.NewSeeded(opts, parts, acked0)
-	if err != nil {
-		return s.streamSequential(sess, body, hdr, skip, resp)
-	}
-	commit := func(tr *core.Tracker, n uint64) {
-		sess.tr = tr
-		sess.acked.Store(acked0 + n)
-		resp.Ingested += n
-	}
-	tr, err := trace.NewReader(io.MultiReader(bytes.NewReader(hdr), body))
-	if err != nil {
-		p.Close()
-		return resp, classifyIngest(err)
-	}
-	if skip > 0 {
-		if err := tr.Skip(skip); err != nil {
-			p.Close()
-			return resp, classifyIngest(err)
-		}
-	}
-	res, derr := p.Drain(context.Background(), tr)
-	if derr != nil || res.Err != nil {
-		commit(committed, committedNew)
-		if derr == nil {
-			derr = res.Err
-		}
-		return resp, classifyIngest(derr)
-	}
-	merged, err := core.MergeTrackers(p.ShardTrackers())
-	if err != nil {
-		// Unreachable while the shard routing matches the split; roll back
-		// to the last commit rather than serve half-merged state.
-		commit(committed, committedNew)
-		return resp, &IngestError{
-			Status: http.StatusInternalServerError, Code: "merge-failed",
-			Err: fmt.Errorf("session %q: %w", sess.id, err),
-		}
-	}
-	commit(merged, declared-skip)
-	s.m.parallelIngests.Inc()
-	return resp, nil
+	return core.MergeTrackers(p.ShardTrackers())
 }
 
-// streamSequential is the sequential fallback for the streaming path,
-// taken before any body byte past the header has been consumed.
-func (s *Server) streamSequential(sess *session, body io.Reader, hdr []byte, skip uint64, resp IngestResponse) (IngestResponse, *IngestError) {
-	tr, err := trace.NewReader(io.MultiReader(bytes.NewReader(hdr), body))
-	if err != nil {
-		return resp, classifyIngest(err)
+// shardFailed is the reply to a request whose sharded analysis broke: a
+// server-side fault, not a client error, so it answers 500 and commits
+// nothing — the client may resend the same body from the unchanged ack.
+func shardFailed(sess *session, err error) *IngestError {
+	return &IngestError{
+		Status: http.StatusInternalServerError, Code: "shard-failed",
+		Err: fmt.Errorf("session %q: %w", sess.id, err),
 	}
-	if skip > 0 {
-		if err := tr.Skip(skip); err != nil {
-			return resp, classifyIngest(err)
-		}
-	}
-	return resp, drainSequential(sess, tr, &resp)
 }

@@ -10,13 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/trace/tracegen"
 )
 
-// parallelCfg opts a test service into the sharded ingest path for every
-// request: four shards, budget to cover them, threshold low enough that
-// DroidBench-sized streams qualify.
+// parallelCfg grants every request of a test service four shards: budget
+// to cover them, threshold low enough that DroidBench-sized streams
+// qualify.
 func parallelCfg(c *server.Config) {
 	c.IngestWorkers = 4
 	c.WorkerBudget = 8
@@ -117,34 +116,6 @@ func TestParallelChunkedResume(t *testing.T) {
 	requireParity(t, s.verdicts(t, "par-chunk"), eval.OneShotVerdicts(events, testCfg), "parallel-chunked")
 }
 
-// TestParallelTornBody mirrors TestDisconnectResume on the parallel
-// path: a body cut mid-record gets the same 400 "truncated", the same
-// per-event ack (the spooled prefix replays sequentially), and resuming
-// from the ack converges to the one-shot verdicts.
-func TestParallelTornBody(t *testing.T) {
-	h := sharedHarness(t)
-	s := newTestService(t, parallelCfg)
-	events, err := h.TenantEvents(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := eval.EncodeTrace(events)
-	k := len(events) / 2
-	cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
-	ir, code := s.postRaw(t, "par-torn", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn upload: status %d %+v", code, ir)
-	}
-	if ir.Acked != uint64(k) {
-		t.Fatalf("torn upload: acked %d, want %d", ir.Acked, k)
-	}
-	ir2, code := s.post(t, "par-torn", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "par-torn"), eval.OneShotVerdicts(events, testCfg), "parallel-torn")
-}
-
 // TestParallelSpillByteIdentity: after identical single-PID uploads, a
 // sequential service and a parallel one must write byte-identical
 // PIFTSES1 spill files — the canonical snapshot codec erases any trace
@@ -182,52 +153,8 @@ func TestParallelSpillByteIdentity(t *testing.T) {
 	}
 }
 
-// TestStreamingCommitPath drives the push-path drain (spooling disabled)
-// with externally-owned commits: whole-stream success, then a torn body
-// whose ack lands on the last CommitEvery-aligned boundary, and a resume
-// from that boundary that converges to the one-shot verdicts.
-func TestStreamingCommitPath(t *testing.T) {
-	const every = 64
-	h := sharedHarness(t)
-	s := newTestService(t, func(c *server.Config) {
-		parallelCfg(c)
-		c.MaxSpoolBytes = -1
-		c.CommitEvery = every
-	})
-	events, err := h.TenantEvents(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, code := s.post(t, "stream-ok", events, 0, len(events))
-	if code != http.StatusOK || ir.Acked != uint64(len(events)) {
-		t.Fatalf("whole stream: status %d %+v", code, ir)
-	}
-	if counterOf(s, "pift_server_parallel_ingests_total") == 0 {
-		t.Fatal("request never took the streaming parallel path")
-	}
-	requireParity(t, s.verdicts(t, "stream-ok"), eval.OneShotVerdicts(events, testCfg), "streaming-whole")
-
-	full := eval.EncodeTrace(events)
-	k := len(events)/2 + 7 // deliberately off the commit grid
-	cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
-	ir, code = s.postRaw(t, "stream-torn", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn upload: status %d %+v", code, ir)
-	}
-	boundary := uint64(k - k%every)
-	if ir.Acked != boundary {
-		t.Fatalf("torn upload: acked %d, want boundary %d (k=%d)", ir.Acked, boundary, k)
-	}
-	ir2, code := s.post(t, "stream-torn", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "stream-torn"), eval.OneShotVerdicts(events, testCfg), "streaming-torn")
-}
-
 // TestWorkerBudgetExhausted: with a budget that cannot cover two shards,
-// every request degrades to the sequential path — correct results, zero
-// parallel commits.
+// every request runs at grant 1 — correct results, zero parallel commits.
 func TestWorkerBudgetExhausted(t *testing.T) {
 	h := sharedHarness(t)
 	s := newTestService(t, func(c *server.Config) {

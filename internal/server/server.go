@@ -36,7 +36,6 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -51,6 +50,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -73,33 +73,19 @@ type Config struct {
 	Registry *metrics.Registry
 
 	// IngestWorkers is how many pipeline shards one session's ingest may
-	// fan out to. <= 0 selects min(GOMAXPROCS, 8); 1 keeps every session
-	// on the sequential path.
+	// fan out to. <= 0 selects min(GOMAXPROCS, 8); 1 applies every
+	// request to its session tracker in place.
 	IngestWorkers int
 	// WorkerBudget caps the total pipeline workers loaned out across all
 	// concurrently parallel sessions, so a stampede of hot tenants
-	// degrades to sequential ingest instead of oversubscribing the
+	// degrades to 1-worker ingest instead of oversubscribing the
 	// machine. <= 0 selects max(IngestWorkers, GOMAXPROCS).
 	WorkerBudget int
 	// ParallelThreshold is the minimum number of new (post-dedup) events
 	// a request must carry before its session fans out; smaller bodies
-	// stay sequential — the split/merge round trip costs more than it
+	// run at one worker — the split/merge round trip costs more than it
 	// saves. <= 0 selects 65536.
 	ParallelThreshold uint64
-	// CommitEvery aligns the streaming parallel path's partial commits:
-	// the shards are quiesced and merged back into the session tracker at
-	// every CommitEvery-multiple of the absolute event offset, so a
-	// failed stream acks at a boundary and the client resumes from there.
-	// <= 0 selects 65536.
-	CommitEvery uint64
-	// MaxSpoolBytes bounds the request-body spool that enables the
-	// seekable shard-owned drain; bigger bodies use the streaming push
-	// path. 0 selects 256 MiB; negative disables spooling entirely.
-	MaxSpoolBytes int64
-	// SpoolMemBytes is the spool size up to which bodies buffer in
-	// memory; larger spools go to a temp file in SpillDir. <= 0 selects
-	// 4 MiB.
-	SpoolMemBytes int64
 	// SnapshotCache is how many hydrated peek snapshots of spilled
 	// sessions to keep for query traffic. 0 selects 8; negative disables
 	// the cache.
@@ -131,15 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.ParallelThreshold <= 0 {
 		c.ParallelThreshold = 65536
 	}
-	if c.CommitEvery <= 0 {
-		c.CommitEvery = 65536
-	}
-	if c.MaxSpoolBytes == 0 {
-		c.MaxSpoolBytes = 256 << 20
-	}
-	if c.SpoolMemBytes <= 0 {
-		c.SpoolMemBytes = 4 << 20
-	}
 	if c.SnapshotCache == 0 {
 		c.SnapshotCache = 8
 	}
@@ -151,9 +128,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	m       *serverMetrics
-	streams chan struct{} // counting semaphore on concurrent ingests
-	budget  *workerBudget // global loan pool for parallel-ingest shards
-	cache   *peekCache    // hydrated snapshots of spilled sessions; nil when disabled
+	streams chan struct{}                  // counting semaphore on concurrent ingests
+	budget  *workerBudget                  // global loan pool for parallel-ingest shards
+	cache   *peekCache                     // hydrated snapshots of spilled sessions; nil when disabled
+	observe func(worker int, ev cpu.Event) // pipeline Observer for parallel ingests; tests only
 
 	mu        sync.Mutex
 	sessions  map[string]*session
@@ -304,39 +282,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.m.ingestSeconds.Observe(time.Since(start).Seconds())
 	s.m.liveBytes.Set(s.currentLiveBytes())
 
+	status := http.StatusOK
 	if ierr != nil {
 		s.m.ingestErrors.Inc()
-		resp.Error = ierr.Code
-		resp.Detail = ierr.Err.Error()
-		w.Header().Set("PIFT-Ack-Offset", strconv.FormatUint(resp.Acked, 10))
-		writeJSON(w, ierr.Status, resp)
-		return
+		resp.Error, resp.Detail, status = ierr.Code, ierr.Err.Error(), ierr.Status
 	}
 	w.Header().Set("PIFT-Ack-Offset", strconv.FormatUint(resp.Acked, 10))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, status, resp)
 }
 
 // ingestLocked streams one request body into sess's tracker. Caller holds
-// sess.mu. Events decoded before any failure are committed and reflected
-// in the returned ack — the resume contract (the parallel streaming path
-// commits at CommitEvery-aligned offsets; every other path commits every
-// decoded event, exactly as the sequential server always has).
+// sess.mu.
 //
-// Routing: the fixed 16-byte wire header — identical in shape for
-// PIFTTRC1 and PIFTTRC2, so the magic and declared event count are
-// known before any decode path is chosen — is pre-read. Small or
-// budget-starved requests take the legacy sequential loop; large ones
-// fan out across pipeline shards, preferring the seekable shard-owned
-// drain over a spooled copy of the body and falling back to the push
-// path when the body is too big to spool (or, for v2, when the
-// transport didn't declare a length to spool by).
+// Every request takes one route: trace.NewReader over the body, the dedup
+// Skip, then one NextBatch loop. The worker grant decides only where each
+// decoded batch goes — straight into the session tracker at grant 1, or
+// into a pipeline seeded with the tracker's PID shards at grant > 1, which
+// Close and MergeTrackers fold back into one tracker after the loop.
 //
-// Both formats share one resume contract, expressed in event counts: a
-// cut PIFTTRC1 body acks at the exact event the cut landed on, a cut
-// PIFTTRC2 body at the last whole block decoded before it — the reader
-// refuses a torn or CRC-damaged block outright, so no partial-block
-// event is ever applied — and the client resends from the ack either
-// way.
+// One commit rule covers both grants and both wire formats: the ack
+// advances by the events decoded. A cut PIFTTRC1 body acks at the exact
+// event the cut landed on, a cut PIFTTRC2 body at the last whole block —
+// the reader refuses a torn or CRC-damaged block outright, so no
+// partial-block event is ever applied — and the client resends from the
+// ack either way. A shard fault commits nothing: the session keeps the
+// tracker it had before the request, and the reply is 500 shard-failed.
 func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *IngestError) {
 	resp := IngestResponse{Session: sess.id, Acked: sess.acked.Load()}
 	if sess.tr == nil && !sess.spilled.Load() {
@@ -348,7 +318,6 @@ func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *
 	}
 	if sess.spilled.Load() {
 		if err := s.hydrate(sess); err != nil {
-			// The one genuinely server-side failure in the ingest path.
 			return resp, &IngestError{
 				Status: http.StatusInternalServerError, Code: "hydrate-failed", Err: err,
 			}
@@ -380,118 +349,64 @@ func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *
 		sess.mBytes.Add(uint64(cr.n))
 		s.m.ingestBytes.Add(uint64(cr.n))
 	}()
-	// Pre-read the fixed-size header. Parsing it through trace.NewReader
-	// over exactly the bytes (and terminal error) the body yielded keeps
-	// the error classification byte-for-byte what the legacy in-line
-	// reader produced on short, garbled, or reset-mid-header bodies.
-	var hdr [trace.HeaderSize]byte
-	hn, herr := io.ReadFull(cr, hdr[:])
-	htr, err := trace.NewReader(headerBytes(hdr[:hn], herr))
+	tr, err := trace.NewReader(cr)
 	if err != nil {
 		return resp, classifyIngest(err)
 	}
-	declared := htr.Len()
 	// Deduplicate the overlap: events before the ack were applied by an
 	// earlier request (or an earlier attempt of this one).
-	skip := acked - bodyStart
-	if skip > 0 && skip >= declared {
-		return resp, nil // the whole body is a duplicate
-	}
-
-	verdictsBefore := len(sess.tr.Verdicts())
-	if grant := s.grantWorkers(declared - skip); grant > 1 {
-		s.m.workersLoaned.Add(int64(grant))
-		defer func() {
-			s.budget.release(grant)
-			s.m.workersLoaned.Add(int64(-grant))
-		}()
-		// How many body bytes must the spool capture? PIFTTRC1 is pure
-		// arithmetic over the fixed record stride. PIFTTRC2 blocks have no
-		// size formula, so the transport's declared length stands in; a
-		// chunked v2 body (ContentLength < 0) can't be sized and streams.
-		expect := int64(trace.HeaderSize) + int64(declared)*trace.EventSize
-		if htr.Format() == trace.FormatV2 {
-			expect = r.ContentLength
+	if skip := acked - bodyStart; skip > 0 {
+		if skip >= tr.Len() {
+			return resp, nil // the whole body is a duplicate
 		}
-		resp, ierr := s.ingestParallel(sess, cr, hdr[:], expect, declared, skip, grant, resp)
-		s.finishIngest(sess, &resp, verdictsBefore)
-		return resp, ierr
-	}
-
-	tr, err := trace.NewReader(io.MultiReader(headerBytes(hdr[:hn], herr), cr))
-	if err != nil {
-		return resp, classifyIngest(err)
-	}
-	if skip > 0 {
 		if err := tr.Skip(skip); err != nil {
 			return resp, classifyIngest(err)
 		}
 	}
-	ierr := drainSequential(sess, tr, &resp)
-	s.finishIngest(sess, &resp, verdictsBefore)
-	return resp, ierr
-}
 
-// drainSequential is the legacy single-tracker decode loop: every decoded
-// event is applied and acknowledged immediately, so a cut stream acks at
-// the exact event the cut landed on.
-func drainSequential(sess *session, tr *trace.Reader, resp *IngestResponse) *IngestError {
-	dst := make([]cpu.Event, ingestBatchSize)
-	for {
-		n, err := tr.NextBatch(dst)
-		for i := 0; i < n; i++ {
-			sess.tr.Event(dst[i])
-		}
-		if n > 0 {
-			sess.acked.Add(uint64(n))
-			resp.Ingested += uint64(n)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return classifyIngest(err)
+	var p *pipeline.Pipeline
+	if grant := s.grantWorkers(tr.Remaining()); grant > 1 {
+		defer s.releaseWorkers(grant)
+		if p, err = s.seedPipeline(sess, grant); err != nil {
+			return resp, shardFailed(sess, err)
 		}
 	}
-}
+	verdictsBefore := len(sess.tr.Verdicts())
+	buf := make([]cpu.Event, ingestBatchSize)
+	var derr error
+	for derr == nil {
+		var n int
+		n, derr = tr.NextBatch(buf)
+		if p != nil {
+			p.EventBatch(buf[:n])
+		} else {
+			for _, ev := range buf[:n] {
+				sess.tr.Event(ev)
+			}
+		}
+		resp.Ingested += uint64(n)
+	}
+	if p != nil {
+		merged, err := closeAndMerge(p)
+		if err != nil {
+			resp.Ingested = 0
+			return resp, shardFailed(sess, err)
+		}
+		sess.tr = merged
+		s.m.parallelIngests.Inc()
+	}
 
-// finishIngest settles per-request bookkeeping common to every drain
-// path: the response ack, tenant metric deltas, the snapshot-cache
-// generation bump, and the LRU touch.
-func (s *Server) finishIngest(sess *session, resp *IngestResponse, verdictsBefore int) {
-	resp.Acked = sess.acked.Load()
+	resp.Acked = sess.acked.Add(resp.Ingested)
 	sess.mEvents.Add(resp.Ingested)
 	sess.mVerdicts.Add(uint64(len(sess.tr.Verdicts()) - verdictsBefore))
 	if resp.Ingested > 0 {
 		sess.gen.Add(1)
 	}
 	s.touch(sess)
-}
-
-// headerBytes replays a pre-read body prefix as a reader that ends with
-// the terminal error the body actually produced (terr nil for a complete
-// read), so downstream decoding classifies short or reset bodies exactly
-// as if it had read the body directly.
-func headerBytes(prefix []byte, terr error) io.Reader {
-	r := io.Reader(bytes.NewReader(prefix))
-	if terr != nil {
-		r = &tornTail{r: r, err: terr}
+	if derr != io.EOF {
+		return resp, classifyIngest(derr)
 	}
-	return r
-}
-
-// tornTail yields r's bytes, then its recorded error in place of io.EOF.
-type tornTail struct {
-	r   io.Reader
-	err error
-}
-
-func (t *tornTail) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if err == io.EOF {
-		err = t.err
-	}
-	return n, err
+	return resp, nil
 }
 
 // countingBody counts bytes drawn from a request body, for per-tenant

@@ -85,8 +85,20 @@ func (s *testService) post(t *testing.T, id string, events []cpu.Event, start, e
 
 func (s *testService) postRaw(t *testing.T, id string, body []byte, offset uint64) (server.IngestResponse, int) {
 	t.Helper()
+	return s.postBody(t, id, body, offset, false)
+}
+
+// postBody sends body as one request starting at event offset; chunked
+// hides its length, so it travels with chunked transfer encoding and the
+// server sees no Content-Length.
+func (s *testService) postBody(t *testing.T, id string, body []byte, offset uint64, chunked bool) (server.IngestResponse, int) {
+	t.Helper()
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, s.base(id)+"/events", bytes.NewReader(body))
+		var rd io.Reader = bytes.NewReader(body)
+		if chunked {
+			rd = struct{ io.Reader }{rd}
+		}
+		req, err := http.NewRequest(http.MethodPost, s.base(id)+"/events", rd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,35 +234,6 @@ func TestChunkedResume(t *testing.T) {
 		t.Fatalf("chunk 3: status %d %+v", code, ir)
 	}
 	requireParity(t, s.verdicts(t, "beta"), eval.OneShotVerdicts(events, testCfg), "chunked")
-}
-
-// TestDisconnectResume cuts an upload mid-record — the body truncates at
-// an unaligned byte — and resumes from the acknowledged offset. The final
-// verdicts must be identical to an uninterrupted run.
-func TestDisconnectResume(t *testing.T) {
-	h := sharedHarness(t)
-	s := newTestService(t, nil)
-	events, err := h.TenantEvents(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := eval.EncodeTrace(events)
-	// Cut mid-way through event k: k events decodable, then a torn tail.
-	k := len(events) / 2
-	cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
-	ir, code := s.postRaw(t, "gamma", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn upload: status %d %+v", code, ir)
-	}
-	if ir.Acked != uint64(k) {
-		t.Fatalf("torn upload: acked %d, want %d", ir.Acked, k)
-	}
-	// The client reconnects and sends the tail from the acked offset.
-	ir2, code := s.post(t, "gamma", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "gamma"), eval.OneShotVerdicts(events, testCfg), "disconnect-resume")
 }
 
 // TestErrorTaxonomy maps each trace-decode failure class onto its HTTP

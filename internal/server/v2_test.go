@@ -3,10 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"io"
 	"net/http"
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -22,27 +19,6 @@ func (s *testService) postV2(t *testing.T, id string, events []cpu.Event, start,
 	t.Helper()
 	body := eval.EncodeTraceFormat(events[start:end], trace.FormatV2)
 	return s.postRaw(t, id, body, uint64(start))
-}
-
-// postReader sends body as-is with no Content-Length hint, so the
-// request travels chunked and the server cannot size a spool for it.
-func (s *testService) postReader(t *testing.T, id string, body io.Reader, offset uint64) (server.IngestResponse, int) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, s.base(id)+"/events", struct{ io.Reader }{body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("PIFT-Offset", strconv.FormatUint(offset, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ir server.IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatalf("POST %s: status %d: decode: %v", id, resp.StatusCode, err)
-	}
-	return ir, resp.StatusCode
 }
 
 // TestIngestParityV2 is the v2 basic contract on the sequential path:
@@ -93,42 +69,6 @@ func TestIngestParityV2(t *testing.T) {
 	requireParity(t, s.verdicts(t, "v2-chunk"), want, "v2-chunked")
 }
 
-// TestDisconnectResumeV2 cuts a multi-block v2 upload mid-block: the ack
-// must land on the last whole-block boundary before the cut — the torn
-// block contributes nothing — and resending from the ack reproduces the
-// uninterrupted result.
-func TestDisconnectResumeV2(t *testing.T) {
-	const n = 3*trace.DefaultBlockEvents + 300
-	events := tracegen.Generate(tracegen.Spec{Seed: 31, Events: n, PIDs: 4}).Events
-	s := newTestService(t, nil)
-	full := eval.EncodeTraceFormat(events, trace.FormatV2)
-
-	// Cut a few bytes into the third block's payload: two whole blocks
-	// decode, the third refuses.
-	idx, err := trace.LoadIndex(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Blocks() < 4 {
-		t.Fatalf("trace has %d blocks, want ≥4", idx.Blocks())
-	}
-	cut := int(idx.Block(2).Offset) + 25
-	wantAck := idx.Block(2).First
-
-	ir, code := s.postRaw(t, "v2-torn", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn v2 upload: status %d %+v", code, ir)
-	}
-	if ir.Acked != wantAck {
-		t.Fatalf("torn v2 upload: acked %d, want block boundary %d", ir.Acked, wantAck)
-	}
-	ir2, code := s.postV2(t, "v2-torn", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(n) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "v2-torn"), eval.OneShotVerdicts(events, testCfg), "v2-disconnect-resume")
-}
-
 // TestErrorTaxonomyV2 maps each v2 decode failure class onto its HTTP
 // status — 400 for truncation and unknown magic, 413 for size-cap
 // violations, 422 for corruption — and none of them onto a 5xx.
@@ -170,12 +110,11 @@ func TestErrorTaxonomyV2(t *testing.T) {
 	check("torn-payload", full[:len(full)-9], http.StatusBadRequest, "truncated")
 }
 
-// TestParallelIngestV2 drives PIFTTRC2 through the sharded spool path: a
-// sized v2 body large enough to fan out commits via the parallel drain
-// with verdicts and stats identical to the sequential replay; a torn
-// sized body falls back to sequential replay of the spooled prefix and
-// still acks at the block boundary; a chunked (unsized) v2 body streams
-// through the push path with the same final state.
+// TestParallelIngestV2 drives PIFTTRC2 through four-shard ingest: a
+// Content-Length ("spooled") body commits with verdicts and stats
+// identical to the sequential replay; a torn one acks at the torn block's
+// first event and a resend from there converges; a chunked body reaches
+// the same final state.
 func TestParallelIngestV2(t *testing.T) {
 	const n = 6*trace.DefaultBlockEvents + 500
 	events := tracegen.Generate(tracegen.Spec{Seed: 41, Events: n, PIDs: 8}).Events
@@ -233,7 +172,7 @@ func TestParallelIngestV2(t *testing.T) {
 	t.Run("chunked-stream", func(t *testing.T) {
 		s := newTestService(t, parallelCfg)
 		full := eval.EncodeTraceFormat(events, trace.FormatV2)
-		ir, code := s.postReader(t, "v2-par-chunk", bytes.NewReader(full), 0)
+		ir, code := s.postBody(t, "v2-par-chunk", full, 0, true)
 		if code != http.StatusOK || ir.Acked != uint64(n) {
 			t.Fatalf("status %d %+v", code, ir)
 		}

@@ -63,7 +63,7 @@ func (idx *Index) Block(i int) BlockInfo {
 }
 
 // LoadIndex sniffs the trace header in ra and builds the Index. For a v1
-// trace this is exactly ReadHeader; for v2 it additionally walks and
+// trace it reads only the header; for v2 it additionally walks and
 // validates the block headers. The error taxonomy matches NewReader:
 // ErrBadMagic, ErrTooLarge, ErrTruncated on a stream cut short,
 // ErrCorrupt on an impossible block chain.

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -68,34 +66,6 @@ func PlanRange(first, count uint64, readers, batch int) []Segment {
 	return segs
 }
 
-// PlanSegments plans the whole trace: PlanRange from event 0.
-func PlanSegments(total uint64, readers, batch int) []Segment {
-	return PlanRange(0, total, readers, batch)
-}
-
-// ReadHeader validates the trace header in ra and returns the declared
-// event count. Both wire formats share the same 16-byte header shape, so
-// this sniffs the magic like NewReader does; segment-planned ingestion
-// over a v2 trace additionally needs the block table and should use
-// LoadIndex (which subsumes this check) instead. The error taxonomy
-// matches NewReader: ErrBadMagic, ErrTooLarge, and ErrTruncated-wrapped
-// io.ErrUnexpectedEOF on a header cut short.
-func ReadHeader(ra io.ReaderAt) (uint64, error) {
-	var hdr [HeaderSize]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("trace: reading header: %w", truncated(err))
-	}
-	if magic := [8]byte(hdr[:8]); magic != traceMagic && magic != traceMagicV2 {
-		return 0, fmt.Errorf("trace: %w: bad magic %q", ErrBadMagic, hdr[:8])
-	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	const sanityCap = 1 << 31
-	if count > sanityCap {
-		return 0, fmt.Errorf("trace: %w: %d", ErrTooLarge, count)
-	}
-	return count, nil
-}
-
 // NewSegmentReader returns a Reader over one planned segment of the
 // serialized trace in ra. The reader is positioned at the segment's first
 // event and reports absolute positions: Offset() starts at seg.First,
@@ -103,7 +73,7 @@ func ReadHeader(ra io.ReaderAt) (uint64, error) {
 // seg.End() — so per-segment readers compose with checkpoint offsets and
 // fault reports exactly like a whole-trace Reader that was Skip()ed to
 // seg.First. The segment is trusted to come from PlanRange over a
-// validated header (ReadHeader); a segment beyond the physical end of ra
+// validated header (LoadIndex); a segment beyond the physical end of ra
 // surfaces as a truncation at the first short read.
 func NewSegmentReader(ra io.ReaderAt, seg Segment) *Reader {
 	sec := io.NewSectionReader(ra, int64(HeaderSize)+int64(seg.First)*EventSize, int64(seg.Count)*EventSize)

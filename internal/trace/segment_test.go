@@ -34,14 +34,15 @@ func TestSegmentPlannerProperties(t *testing.T) {
 		}
 		ra := bytes.NewReader(wire.Bytes())
 
-		total, err := trace.ReadHeader(ra)
+		idx, err := trace.LoadIndex(ra)
 		if err != nil {
-			t.Fatalf("case %d: ReadHeader: %v", i, err)
+			t.Fatalf("case %d: LoadIndex: %v", i, err)
 		}
+		total := idx.Count()
 		if total != uint64(events) {
 			t.Fatalf("case %d: header count %d, want %d", i, total, events)
 		}
-		segs := trace.PlanSegments(total, readers, batch)
+		segs := idx.PlanSegments(readers, batch)
 		if len(segs) == 0 || len(segs) > readers {
 			t.Fatalf("case %d: planned %d segments for %d readers", i, len(segs), readers)
 		}
@@ -72,7 +73,7 @@ func TestSegmentPlannerProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, seg := range segs {
-			r := trace.NewSegmentReader(ra, seg)
+			r := idx.SegmentReader(ra, seg)
 			if got := r.Offset(); got != seg.First {
 				t.Fatalf("case %d: segment %d initial Offset %d, want %d", i, s, got, seg.First)
 			}
@@ -118,12 +119,12 @@ func TestSegmentReaderBatchParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra := bytes.NewReader(wire.Bytes())
-	total, err := trace.ReadHeader(ra)
+	idx, err := trace.LoadIndex(ra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range trace.PlanSegments(total, 4, 128) {
-		r := trace.NewSegmentReader(ra, seg)
+	for _, seg := range idx.PlanSegments(4, 128) {
+		r := idx.SegmentReader(ra, seg)
 		buf := make([]cpu.Event, 100)
 		var got []cpu.Event
 		for {
