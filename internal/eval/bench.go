@@ -3,7 +3,8 @@ package eval
 // Machine-readable pipeline benchmark artifact: the parity and scaling
 // experiments of pipeline.go re-run with an instrumented registry, so CI
 // can archive one JSON file holding both the experiment tables and the
-// full metrics snapshot (queue depths, stall counts, batch latency
+// full metrics snapshot of the push-path suite sweep (queue depths and
+// stall counts, which only the push path has, and batch latency
 // histograms) behind them.
 
 import (
@@ -167,8 +168,11 @@ func PipelineBench(h *Harness, cfg core.Config, workerCounts []int, quantum, rep
 // over a seeded tracegen corpus, serialized in format f, at each worker
 // count. Unlike PipelineScaling — which replays an in-memory recorder
 // through the single-dispatcher push path — this sweep starts from
-// serialized bytes, so decode, sharding, and batching all scale with the
-// worker count: it measures the whole ingest, not just the analysis.
+// serialized bytes and measures the whole ingest, not just the analysis:
+// every worker reads the whole trace and keeps its own PIDs' events, so
+// the analysis and the decoding of kept events split across workers,
+// while reading past the other shards' events (validating v1 records,
+// stepping over v2 PID runs) is paid by every worker.
 // Every run's verdicts are checked byte-identical to the first, so a
 // scaling number can never be quoted on a wrong answer.
 func SyntheticScaling(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) ([]PipelineScalingRow, error) {

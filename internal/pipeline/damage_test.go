@@ -1,0 +1,175 @@
+package pipeline_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"regexp"
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/pipeline"
+	"repro/internal/trace"
+	"repro/internal/trace/tracegen"
+)
+
+// TestDrainTraceEarliestDamage: a trace damaged in two places, in events
+// of PIDs that different shards own at 2 and at 4 workers, fails
+// DrainTrace with the error a plain NextBatch loop over the same bytes
+// reports — same sentinel, same event index — at 1, 2 and 4 workers. The
+// earlier damage sits on the shard with the higher worker index, so a
+// rule that picked the first worker's error, rather than the lowest
+// offset, would report the later damage. In PIFTTRC2 both places are
+// CRC-clean structural breaks inside one PID's run, which only the worker
+// that keeps the run decodes.
+func TestDrainTraceEarliestDamage(t *testing.T) {
+	rec := tracegen.Generate(tracegen.Spec{Seed: 71, Events: 40_000, PIDs: 16, Quantum: 64})
+	// early's shard sits above late's at both widths.
+	var early, late uint32
+	for a := uint32(1); a <= 16 && early == 0; a++ {
+		for c := uint32(1); c <= 16; c++ {
+			if pipeline.ShardOf(a, 2) > pipeline.ShardOf(c, 2) && pipeline.ShardOf(a, 4) > pipeline.ShardOf(c, 4) {
+				early, late = a, c
+				break
+			}
+		}
+	}
+	if early == 0 {
+		t.Fatal("no PID pair on ordered shards at 2 and 4 workers")
+	}
+
+	t.Run("v1", func(t *testing.T) {
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		rec1 := func(i int) []byte { return raw[trace.HeaderSize+i*trace.EventSize:][:trace.EventSize] }
+		i1 := firstOf(t, rec.Events, early, 10_000)
+		i2 := firstOf(t, rec.Events, late, 25_000)
+		rec1(i1)[0] = 7 // unknown kind
+		r2 := rec1(i2)  // inverted range: end below start
+		binary.LittleEndian.PutUint32(r2[17:], binary.LittleEndian.Uint32(r2[13:])-1)
+		checkEarliest(t, raw)
+	})
+
+	t.Run("v2", func(t *testing.T) {
+		var buf bytes.Buffer
+		if _, err := rec.WriteToFormat(&buf, trace.FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		idx, err := trace.LoadIndex(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		breakRangeStart(t, raw, idx, rec.Events, early, 10_000)
+		breakRangeStart(t, raw, idx, rec.Events, late, 25_000)
+		checkEarliest(t, raw)
+	})
+}
+
+// firstOf returns the index of pid's first event at or after from.
+func firstOf(t *testing.T, evs []cpu.Event, pid uint32, from int) int {
+	t.Helper()
+	for i := from; i < len(evs); i++ {
+		if evs[i].PID == pid {
+			return i
+		}
+	}
+	t.Fatalf("PID %d has no event after %d", pid, from)
+	return 0
+}
+
+// breakRangeStart damages pid's first event in the PIFTTRC2 block that
+// holds event near: its range-start delta, the first of pid's chain in
+// the block and so the start itself zigzagged (even), gets its low bit
+// set, which decodes to a negative start. The block's CRC is recomputed,
+// so only a decoder that keeps pid's run sees the break.
+func breakRangeStart(t *testing.T, raw []byte, idx *trace.Index, evs []cpu.Event, pid uint32, near uint64) {
+	t.Helper()
+	var b trace.BlockInfo
+	for i := 0; i < idx.Blocks(); i++ {
+		if b = idx.Block(i); b.First <= near && near < b.First+uint64(b.Count) {
+			break
+		}
+	}
+	at := firstOf(t, evs, pid, int(b.First))
+	if uint64(at) >= b.First+uint64(b.Count) {
+		t.Fatalf("PID %d has no event in the block at %d", pid, b.First)
+	}
+	const blockHeaderSize = 20
+	payload := raw[b.Offset+blockHeaderSize:][:b.Payload]
+	i := 0
+	skip := func(n int) {
+		for ; n > 0; n-- {
+			_, w := binary.Uvarint(payload[i:])
+			if w <= 0 {
+				t.Fatal("malformed block payload")
+			}
+			i += w
+		}
+	}
+	ndict, w := binary.Uvarint(payload)
+	i += w
+	skip(int(ndict))
+	for filled := uint64(0); filled < uint64(b.Count); {
+		skip(1) // dictionary index
+		n, w := binary.Uvarint(payload[i:])
+		i += w
+		filled += n
+	}
+	skip(2 * int(b.Count))  // kind/tag and seq columns
+	skip(at - int(b.First)) // earlier range starts
+	if payload[i]&1 != 0 {
+		t.Fatalf("event %d: range-start delta is not a chain start", at)
+	}
+	payload[i] |= 1
+	binary.LittleEndian.PutUint32(raw[b.Offset+16:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+var eventIndex = regexp.MustCompile(`event (\d+)`)
+
+// checkEarliest drains raw through a plain NextBatch loop and through
+// DrainTrace at 1, 2 and 4 workers, and requires the same sentinel and
+// the same event index in every error.
+func checkEarliest(t *testing.T, raw []byte) {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want error
+	buf := make([]cpu.Event, 256)
+	for want == nil {
+		_, want = r.NextBatch(buf)
+	}
+	if want == io.EOF {
+		t.Fatal("damaged trace read clean")
+	}
+	wantAt := eventIndex.FindStringSubmatch(want.Error())
+	if wantAt == nil {
+		t.Fatalf("plain read error %q names no event", want)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, err := pipeline.New(pipeline.Options{Workers: workers, Config: testCfg}).
+				DrainTrace(context.Background(), bytes.NewReader(raw))
+			if err == nil {
+				t.Fatal("damaged trace drained clean")
+			}
+			for _, s := range []error{trace.ErrCorrupt, trace.ErrTruncated} {
+				if errors.Is(err, s) != errors.Is(want, s) {
+					t.Fatalf("DrainTrace: %v; plain read: %v", err, want)
+				}
+			}
+			if got := eventIndex.FindStringSubmatch(err.Error()); got == nil || got[1] != wantAt[1] {
+				t.Fatalf("DrainTrace: %v; plain read: %v", err, want)
+			}
+		})
+	}
+}

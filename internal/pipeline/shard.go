@@ -6,50 +6,55 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/cpu"
-	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
 // Shard-owned ingest — the scaling path. Drain/drainBatched funnel every
 // event through one dispatcher goroutine, which decodes, shards, and
 // batches alone while N workers wait on it; past a few workers the
-// dispatcher IS the pipeline. DrainTrace removes it: a segment planner
-// pre-splits the trace by pure arithmetic — over the fixed record stride
-// for PIFTTRC1, over the block index for PIFTTRC2 (trace.LoadIndex) —
-// and each of N readers then owns its segment from bytes to batches —
-// its own trace.Reader, its own decode buffer, its own shard
-// partitioning — handing batches to workers over
-// single-producer/single-consumer rings (one per reader×worker pair, so
-// every ring really is SPSC).
+// dispatcher IS the pipeline. DrainTrace removes it, and with it every
+// hand-off of decoded events between goroutines: each worker opens its
+// own trace.Reader over the phase's event range, decodes the range
+// itself, keeps only the events of its own PIDs (trace.Reader's filtered
+// read, keep = ShardOf(pid, n) == w, so everything at n = 1) and
+// analyzes them in place. A PIFTTRC1 worker validates every record but
+// copies only its own; a PIFTTRC2 worker reads each block's PID-run
+// column and steps over the runs of other shards' PIDs without decoding
+// them, so the decode work that is duplicated across workers is the
+// cheap part of it.
 //
 // Correctness is an ordering argument. Tracker state is per-PID, so the
 // merged Result is byte-identical to the sequential tracker's as long as
 // each shard sees its PIDs' events in trace order (see the package
-// comment). Segments are contiguous and planned in trace order, and each
-// worker drains its per-reader rings strictly in reader order — ring r
-// exhausted before ring r+1 — so a shard's event sequence is the
-// concatenation of its per-segment subsequences in segment order: exactly
-// the trace-order subsequence the dispatcher path delivers.
+// comment) — and each worker scans the phase in trace order.
+//
+// Errors follow the same argument. Exactly one worker keeps each event,
+// and a filtered read fails wherever a plain read over the same bytes
+// fails on an event it keeps or on the stream's structure, at the same
+// offset, so the failure with the lowest event offset across the workers
+// is the one a plain reader reports; that is the error DrainTrace
+// returns.
 //
 // Checkpoint offsets keep their contract by phasing: the trace is drained
 // in phases bounded at CheckpointEvery multiples, with a full barrier
-// (readers done, workers drained) between phases. Checkpoints therefore
-// fire at precisely the same absolute offsets as Drain, against quiescent
-// trackers, and a checkpoint written here restores onto either path.
+// (every worker at the end of the phase) between phases. Checkpoints
+// therefore fire at precisely the same absolute offsets as Drain, against
+// quiescent trackers, and a checkpoint written here restores onto either
+// path.
 
 // DrainTrace consumes the serialized trace in ra — either wire format,
 // sniffed from the header — through shard-owned readers and returns the
 // merged result, honoring the same checkpoint policy as Drain. For a
-// block-compressed PIFTTRC2 trace the planner works over the block index
-// (trace.LoadIndex) instead of the fixed record stride; segment
-// boundaries snap to blocks but phase and checkpoint offsets stay in
-// event counts, so checkpoints fire at identical offsets on both
+// block-compressed PIFTTRC2 trace the readers are positioned through the
+// block index (trace.LoadIndex) instead of the fixed record stride; a
+// phase edge may fall inside a block, and phase and checkpoint offsets
+// stay in event counts, so checkpoints fire at identical offsets on both
 // formats. A pipeline restored from a checkpoint resumes by calling
-// DrainTrace on the same bytes: the planner starts at Offset(), no Skip
-// needed. On a decode, checkpoint, or cancellation error the pipeline is
-// shut down cleanly and the error returned; the partial Result is
-// discarded.
+// DrainTrace on the same bytes: the first phase starts at Offset(), no
+// Skip needed. On a decode, checkpoint, or cancellation error the
+// pipeline is shut down cleanly and the error returned — for a decode
+// error, the one a plain reader over the same bytes reports; the partial
+// Result is discarded.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
 	idx, err := trace.LoadIndex(ra)
 	if err != nil {
@@ -91,116 +96,34 @@ func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, erro
 	return res, res.Err
 }
 
-// runPhase drains the event range [first, end) of ra: one segment per
-// reader, one ring per reader×worker pair, and a phase barrier at the
-// end. On return every event of the range has been analyzed (or the
-// error says why not) and the workers are quiescent — the phase
-// WaitGroup's Wait edge publishes their tracker state to this goroutine,
-// which is what entitles the caller to checkpoint next.
+// runPhase drains the event range [first, end) of ra: every worker gets
+// a reader over the whole range and a phase barrier to report at. On
+// return every event of the range has been analyzed (or the error says
+// why not) and the workers are quiescent — the phase WaitGroup's Wait
+// edge publishes their tracker state, and their errors, to this
+// goroutine, which is what entitles the caller to checkpoint next.
 func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderAt, first, end uint64) error {
+	seg := trace.Segment{First: first, Count: end - first}
 	nw := len(p.workers)
-	segs := idx.PlanRange(first, end-first, nw, p.opts.BatchSize)
-	rings := make([][]*ring.Ring[[]cpu.Event], len(segs)) // [reader][worker]
-	for r := range rings {
-		rings[r] = make([]*ring.Ring[[]cpu.Event], nw)
-		for w := range rings[r] {
-			rings[r][w] = ring.New[[]cpu.Event](p.opts.QueueDepth)
-		}
-	}
 	var phase sync.WaitGroup
 	phase.Add(nw)
+	jobs := make([]phaseJob, nw)
 	for w, wk := range p.workers {
-		col := make([]*ring.Ring[[]cpu.Event], len(segs))
-		for r := range col {
-			col[r] = rings[r][w]
+		jobs[w] = phaseJob{ctx: ctx, r: idx.SegmentReader(ra, seg), batch: p.opts.BatchSize, wg: &phase}
+		if nw > 1 {
+			jobs[w].keep = func(pid uint32) bool { return shard(pid, nw) == w }
 		}
-		if !wk.q.Push(job{phase: &phaseJob{rings: col, wg: &phase}}) {
+		if !wk.q.Push(job{phase: &jobs[w]}) {
 			panic("pipeline: phase pushed on closed worker queue")
 		}
 	}
-	errs := make([]error, len(segs))
-	var readers sync.WaitGroup
-	readers.Add(len(segs))
-	for r, seg := range segs {
-		go func(r int, seg trace.Segment) {
-			defer readers.Done()
-			errs[r] = p.readSegment(ctx, idx, ra, seg, rings[r])
-		}(r, seg)
-	}
-	readers.Wait()
 	phase.Wait()
-	for _, err := range errs { // first failure in trace order
-		if err != nil {
-			return err
+	var err error // the failure a plain reader would report first
+	var at uint64
+	for _, j := range jobs {
+		if j.err != nil && (err == nil || j.at < at) {
+			err, at = j.err, j.at
 		}
 	}
-	return nil
-}
-
-// readSegment is one reader's whole job: decode the segment batch by
-// batch, partition events by shard, and push full batches onto the
-// owning workers' rings, blocking when a ring is full — the same bounded
-// backpressure as the dispatcher path, now per reader×worker. All output
-// rings are closed on the way out, success or not: a closed ring is the
-// segment-end marker the draining worker keys on, and closing even on
-// error is what keeps a failed phase from wedging its workers.
-func (p *Pipeline) readSegment(ctx context.Context, idx *trace.Index, ra io.ReaderAt, seg trace.Segment, out []*ring.Ring[[]cpu.Event]) (err error) {
-	defer func() {
-		for _, q := range out {
-			q.Close()
-		}
-	}()
-	r := idx.SegmentReader(ra, seg)
-	buf := make([]cpu.Event, p.opts.BatchSize)
-	pending := make([][]cpu.Event, len(out))
-	for w := range pending {
-		pending[w] = p.batch()
-	}
-	flush := func(w int) {
-		b := pending[w]
-		if len(b) == 0 {
-			return
-		}
-		p.m.BatchesDispatched.Inc()
-		p.m.BatchEvents.Observe(float64(len(b)))
-		if !out[w].TryPush(b) {
-			p.m.Stalls.Inc()
-			out[w].Push(b) // worker never closes its input ring
-		}
-		pending[w] = p.batch()
-	}
-	done := ctx.Done()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		n, rerr := r.NextBatch(buf)
-		for _, ev := range buf[:n] {
-			w := 0
-			if len(out) > 1 {
-				w = shard(ev.PID, len(out))
-			}
-			pending[w] = append(pending[w], ev)
-			if len(pending[w]) >= p.opts.BatchSize {
-				flush(w)
-			}
-		}
-		p.m.EventsDispatched.Add(uint64(n))
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
-	for w := range out {
-		flush(w)
-		b := pending[w][:0]
-		p.pool.Put(&b)
-	}
-	return nil
+	return err
 }

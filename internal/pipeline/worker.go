@@ -1,34 +1,42 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/ring"
+	"repro/internal/trace"
 )
 
 // job is one unit of work on a worker's input ring: either a single
 // pre-sharded batch (push mode, the dispatcher's hand-off) or a phase of
-// the shard-owned drain (phase non-nil), in which the worker pulls its
-// batches straight off the segment readers' SPSC rings.
+// the shard-owned drain (phase non-nil), in which the worker decodes the
+// phase's event range itself.
 type job struct {
 	batch []cpu.Event
 	phase *phaseJob
 }
 
-// phaseJob hands a worker its view of one shard-owned phase: the data
-// rings carrying this worker's events, one per segment reader, to be
-// drained in reader (= trace) order. Draining ring r to exhaustion before
-// touching ring r+1 is what preserves per-PID event order: the segments
-// are contiguous in the trace, so a PID's events arrive ring by ring in
-// exactly their stream order. wg is the phase barrier the coordinator
-// waits on.
+// phaseJob hands a worker one shard-owned phase: a reader over the
+// phase's event range, which the worker drains in trace order keeping
+// the events keep accepts (its own PIDs'; nil keeps all) — that scan
+// order is what preserves per-PID event order — plus the phase barrier
+// the coordinator waits on. The worker reports a failure in err, with
+// the reader's offset at the failure in at; the coordinator reads both
+// after the barrier.
 type phaseJob struct {
-	rings []*ring.Ring[[]cpu.Event]
+	ctx   context.Context
+	r     *trace.Reader
+	keep  func(pid uint32) bool
+	batch int // decode buffer size, in events
 	wg    *sync.WaitGroup
+	err   error
+	at    uint64
 }
 
 // worker owns one shard: a bounded SPSC job queue feeding a private
@@ -44,6 +52,7 @@ type worker struct {
 	q    *ring.Ring[job]
 	tr   *core.Tracker
 	done chan struct{}
+	buf  []cpu.Event // shard-owned decode buffer, reused across phases
 
 	// maxRestarts is the shard's panic budget K (Options.MaxRestarts).
 	maxRestarts int
@@ -87,7 +96,7 @@ func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.W
 			return
 		}
 		if j.phase != nil {
-			w.runPhase(j.phase, obs, pool, pm)
+			w.runPhase(j.phase, obs, pm)
 			continue
 		}
 		w.process(j.batch, obs, pm)
@@ -98,23 +107,40 @@ func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.W
 	}
 }
 
-// runPhase consumes one shard-owned phase: every data ring drained to
-// exhaustion, in reader order. The rings are closed by their producing
-// readers when the segment ends (or fails), so a ring's Pop returning
-// false is the segment's end marker. Fault policy is identical to push
-// mode — the batches flow through the same process() path, restart budget
-// and all.
-func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pool *sync.Pool, pm PipelineMetrics) {
+// runPhase consumes one shard-owned phase: the worker reads the phase's
+// events in trace order, keeps its own PIDs' events, and analyzes each
+// decoded batch in place. Fault policy is identical to push mode — the
+// batches flow through the same process() path, restart budget and all.
+// Cancellation is checked once per batch.
+func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pm PipelineMetrics) {
 	defer ph.wg.Done()
-	for _, src := range ph.rings {
-		for {
-			batch, ok := src.Pop()
-			if !ok {
-				break
+	if cap(w.buf) < ph.batch {
+		w.buf = make([]cpu.Event, ph.batch)
+	}
+	buf := w.buf[:ph.batch]
+	done := ph.ctx.Done()
+	for {
+		if done != nil {
+			select {
+			case <-done:
+				ph.err, ph.at = ph.ctx.Err(), ph.r.Offset()
+				return
+			default:
 			}
-			w.process(batch, obs, pm)
-			b := batch[:0]
-			pool.Put(&b)
+		}
+		n, err := ph.r.NextBatchKeep(buf, ph.keep)
+		if n > 0 {
+			pm.EventsDispatched.Add(uint64(n))
+			pm.BatchesDispatched.Inc()
+			pm.BatchEvents.Observe(float64(n))
+			w.process(buf[:n], obs, pm)
+		}
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			ph.err, ph.at = err, ph.r.Offset()
+			return
 		}
 	}
 }

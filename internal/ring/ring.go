@@ -1,9 +1,10 @@
 // Package ring provides a bounded single-producer/single-consumer queue —
-// the hand-off primitive of the shard-owned pipeline. A Go channel is a
+// the pipeline's worker input queue. A Go channel is a
 // multi-producer/multi-consumer structure and pays for that generality
-// with a mutex on every operation; the pipeline's hand-offs are all
-// strictly one producer to one consumer (dispatcher→worker, and segment
-// reader→worker in the shard-owned path), so the ring replaces the lock
+// with a mutex on every operation; each worker queue has strictly one
+// producer and one consumer (the dispatcher, or the DrainTrace
+// coordinator handing out one job per phase, to the worker), so the ring
+// replaces the lock
 // with two monotonic cursors: the producer owns the tail, the consumer
 // owns the head, and each side only ever loads the other's cursor. The
 // uncontended fast path is two atomic operations and no allocation; a

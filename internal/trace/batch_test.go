@@ -212,27 +212,36 @@ func TestSkipChunked(t *testing.T) {
 
 // TestNextBatchAllocationFree is the alloc gate for the batch decoder:
 // after the first call sizes the scratch buffer, steady-state batch
-// decoding must not allocate.
+// decoding must not allocate — plain, and filtered by a predicate that
+// keeps half the PIDs.
 func TestNextBatchAllocationFree(t *testing.T) {
-	orig := randomTrace(120000, 43)
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]cpu.Event, 256)
-	if _, err := sr.NextBatch(dst); err != nil { // sizes the scratch buffer
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(300, func() {
-		if _, err := sr.NextBatch(dst); err != nil {
+	for _, tc := range []struct {
+		name string
+		rec  *Recorder
+		keep func(pid uint32) bool
+	}{
+		{"plain", randomTrace(120000, 43), nil},
+		{"keep-half", uniformTrace(120000), func(pid uint32) bool { return pid%2 == 0 }},
+	} {
+		var buf bytes.Buffer
+		if _, err := tc.rec.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("NextBatch allocates %v times per call", n)
+		sr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]cpu.Event, 256)
+		if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil { // sizes the scratch buffer
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(300, func() {
+			if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: NextBatch allocates %v times per call", tc.name, n)
+		}
 	}
 }
 

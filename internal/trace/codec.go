@@ -75,7 +75,10 @@ func ReadFrom(r io.Reader) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewRecorder(int(sr.Len()))
+	// The header's count is only a claim until the records arrive: sizing
+	// the slice by it would let a 16-byte file ask for 64 GiB. Cap the
+	// hint and let append grow the slice as events actually decode.
+	out := NewRecorder(int(min(sr.Len(), maxDecodeBatch)))
 	for {
 		ev, err := sr.Next()
 		if err == io.EOF {

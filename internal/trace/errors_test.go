@@ -149,3 +149,11 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	})
 }
+
+// TestReadFromHugeClaim: a bare header declaring 808 M events is a
+// truncation, reported without first allocating for the claim.
+func TestReadFromHugeClaim(t *testing.T) {
+	if _, err := ReadFrom(bytes.NewReader([]byte(hugeClaimV1))); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+}

@@ -9,6 +9,11 @@ import (
 	"repro/internal/cpu"
 )
 
+// hugeClaimV1 is a bare PIFTTRC1 header declaring 808 M events (the
+// count field is the ASCII bytes "0000"): a decoder that trusts the claim
+// before any record arrives asks for 25 GiB.
+const hugeClaimV1 = "PIFTTRC1" + "0000\x00\x00\x00\x00"
+
 // FuzzReadFrom feeds arbitrary bytes to the trace decoder: it must never
 // panic, and anything it accepts must re-encode to an equivalent trace.
 func FuzzReadFrom(f *testing.F) {
@@ -20,6 +25,7 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PIFTTRC1"))
 	f.Add([]byte{})
+	f.Add([]byte(hugeClaimV1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := ReadFrom(bytes.NewReader(data))
 		if err != nil {
@@ -49,6 +55,16 @@ func FuzzReadFrom(f *testing.F) {
 // sentinel (so the server can map it to a 4xx and never a 5xx), a clean
 // drain must deliver exactly the declared count, and anything accepted
 // must round-trip through the v2 encoder byte-for-byte.
+//
+// Every input is also read filtered, twice: keeping the even PIDs and
+// keeping the odd ones. A filtered read only steps over the runs it
+// rejects, so damage inside a run may surface only for the reader that
+// keeps it — but the two readers together must agree with the plain one.
+// When the plain read succeeds, both filtered reads succeed and split its
+// events by the predicate. When it fails, the earlier filtered failure has
+// its sentinel and its Offset, and each filtered read starts with the
+// plain read's events, filtered. Pipeline.DrainTrace's lowest-offset
+// error rule rests on this.
 func FuzzDecodeV2(f *testing.F) {
 	good := randomTrace(300, 3)
 	var buf bytes.Buffer
@@ -81,6 +97,7 @@ func FuzzDecodeV2(f *testing.F) {
 				break
 			}
 		}
+		checkFilteredReads(t, data, rec.Events, lastErr, r.Offset())
 		if lastErr == io.EOF {
 			if events != r.Len() {
 				t.Fatalf("clean EOF after %d of %d events", events, r.Len())
@@ -117,6 +134,84 @@ func FuzzDecodeV2(f *testing.F) {
 	})
 }
 
+// checkFilteredReads reads data with the even-PID and the odd-PID keep
+// predicates and holds them to the plain read's outcome: its events
+// (plain), its final error (io.EOF when clean), and its Offset there.
+func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr error, plainAt uint64) {
+	t.Helper()
+	type result struct {
+		events []cpu.Event
+		err    error
+		at     uint64
+	}
+	var results [2]result
+	for k := range results {
+		keep := func(pid uint32) bool { return pid%2 == uint32(k) }
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("NewReader accepted the bytes once, then failed: %v", err)
+		}
+		res := &results[k]
+		dst := make([]cpu.Event, 29)
+		for {
+			n, err := r.NextBatchKeep(dst, keep)
+			for _, ev := range dst[:n] {
+				if !keep(ev.PID) {
+					t.Fatalf("pid%%2==%d read returned PID %d", k, ev.PID)
+				}
+			}
+			res.events = append(res.events, dst[:n]...)
+			if err != nil {
+				res.err, res.at = err, r.Offset()
+				break
+			}
+		}
+	}
+	// The plain events, split by the predicate: each filtered read must
+	// start with its share.
+	var want [2][]cpu.Event
+	for _, ev := range plain {
+		want[ev.PID%2] = append(want[ev.PID%2], ev)
+	}
+	for k, res := range results {
+		if len(res.events) < len(want[k]) {
+			t.Fatalf("pid%%2==%d read returned %d events, the plain read %d of its PIDs (err %v)", k, len(res.events), len(want[k]), res.err)
+		}
+		for i, ev := range want[k] {
+			if res.events[i] != ev {
+				t.Fatalf("pid%%2==%d read event %d is %+v, plain read filtered has %+v", k, i, res.events[i], ev)
+			}
+		}
+	}
+	if plainErr == io.EOF {
+		for k, res := range results {
+			if res.err != io.EOF || res.at != plainAt || len(res.events) != len(want[k]) {
+				t.Fatalf("plain read clean at %d; pid%%2==%d read ended with %v at %d after %d of %d events",
+					plainAt, k, res.err, res.at, len(res.events), len(want[k]))
+			}
+		}
+		return
+	}
+	first := -1 // the filtered read that failed at the lowest offset
+	for k, res := range results {
+		if res.err != io.EOF && (first < 0 || res.at < results[first].at) {
+			first = k
+		}
+	}
+	if first < 0 {
+		t.Fatalf("plain read failed at %d (%v), both filtered reads ended clean", plainAt, plainErr)
+	}
+	got := results[first]
+	if got.at != plainAt {
+		t.Fatalf("earliest filtered failure at offset %d (%v), plain read failed at %d (%v)", got.at, got.err, plainAt, plainErr)
+	}
+	for _, s := range []error{ErrTruncated, ErrCorrupt, ErrBadMagic, ErrTooLarge} {
+		if errors.Is(got.err, s) != errors.Is(plainErr, s) {
+			t.Fatalf("earliest filtered failure %v, plain read %v: sentinels differ", got.err, plainErr)
+		}
+	}
+}
+
 // isSentinelF mirrors the taxonomy test helper for fuzzing: exactly one
 // of the four sentinels.
 func isSentinelF(err error) bool {
@@ -145,6 +240,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(buf.Bytes()[:12])          // header truncation
 	f.Add([]byte("PIFTTRC1"))
 	f.Add([]byte{})
+	f.Add([]byte(hugeClaimV1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {

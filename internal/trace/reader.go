@@ -47,9 +47,10 @@ type Reader struct {
 	v2        bool
 	total     uint64      // physical declared count (count can stop short of it)
 	nextBlock uint64      // first event index of the next block on the stream
-	pending   []cpu.Event // decoded events of the current block, reused
+	blockEnd  uint64      // one past the last event pending covers
+	pending   []cpu.Event // decoded events of the current block still to serve, reused
 	pendPos   int         // cursor into pending
-	sc        decScratch  // dictionary/index/delta-chain scratch, reused
+	sc        decScratch  // dictionary/run/delta-chain scratch, reused
 }
 
 // NewReader wraps r, reading and validating the trace header. The wire
@@ -156,6 +157,29 @@ const maxDecodeBatch = 1 << 16
 // callers that feed n events and then inspect err behave identically to a
 // per-event Next loop.
 func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
+	return d.NextBatchKeep(dst, nil)
+}
+
+// NextBatchKeep is NextBatch restricted to the events whose PID keep
+// accepts (a nil keep accepts every PID, which is NextBatch). The stream
+// is consumed exactly as NextBatch consumes it — in order, with the same
+// error taxonomy — and Offset counts every event consumed, kept or not,
+// so a reader ends at the same Offset whatever it keeps. What keep
+// changes is what is copied into dst and, on PIFTTRC2, what is checked:
+// a PIFTTRC1 read still validates every record, but a PIFTTRC2 read
+// steps over a rejected PID run without decoding its values, so damage
+// inside a run that the block CRC does not catch surfaces only for
+// readers that keep the run. Any failure a filtered read reports, a
+// plain read over the same bytes reports too, with the same sentinel at
+// the same Offset.
+//
+// A call returns at least one event unless the stream ends or fails;
+// with a selective keep it may return fewer than len(dst) events before
+// the end. Offset advances per record on PIFTTRC1 and, for a filtered
+// PIFTTRC2 read, past a whole block once its last kept event has been
+// returned. A reader serves either filtered reads or the plain ones
+// (Next, NextBatch, Skip), not a mix.
+func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
@@ -163,50 +187,91 @@ func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
 		return 0, io.EOF
 	}
 	if d.v2 {
-		return d.nextBatchV2(dst)
+		return d.nextBatchV2(dst, keep)
 	}
-	n := uint64(len(dst))
-	if n > maxDecodeBatch {
-		n = maxDecodeBatch
+	for {
+		n := uint64(len(dst))
+		if n > maxDecodeBatch {
+			n = maxDecodeBatch
+		}
+		if rem := d.count - d.read; n > rem {
+			n = rem
+		}
+		need := int(n) * eventWireSize
+		if cap(d.buf) < need {
+			d.buf = make([]byte, need)
+		}
+		buf := d.buf[:need]
+		m, rerr := io.ReadFull(d.br, buf)
+		recs := buf[:m/eventWireSize*eventWireSize]
+		decoded := 0
+		for len(recs) > 0 {
+			// keep is asked once per PID run; a plain read decodes the
+			// whole batch as one run.
+			run, kept := len(recs), true
+			if keep != nil {
+				pid := binary.LittleEndian.Uint32(recs[1:])
+				kept = keep(pid)
+				run = eventWireSize
+				for run < len(recs) && binary.LittleEndian.Uint32(recs[run+1:]) == pid {
+					run += eventWireSize
+				}
+			}
+			ok, err := decodeV1(recs[:run], dst[decoded:], kept, d.read)
+			d.read += uint64(ok)
+			if kept {
+				decoded += ok
+			}
+			if err != nil {
+				return decoded, err
+			}
+			recs = recs[run:]
+		}
+		if rerr != nil {
+			// The header declared more events, so running dry mid-batch —
+			// on a record boundary or inside a record — is a truncation;
+			// other source errors pass through as Next would surface them.
+			return decoded, fmt.Errorf("trace: event %d: %w", d.read, truncated(rerr))
+		}
+		if decoded > 0 {
+			return decoded, nil
+		}
+		if d.read >= d.count {
+			return 0, io.EOF
+		}
 	}
-	if rem := d.count - d.read; n > rem {
-		n = rem
-	}
-	need := int(n) * eventWireSize
-	if cap(d.buf) < need {
-		d.buf = make([]byte, need)
-	}
-	buf := d.buf[:need]
-	m, rerr := io.ReadFull(d.br, buf)
-	decoded := 0
-	for i := 0; i < m/eventWireSize; i++ {
-		rec := buf[i*eventWireSize : (i+1)*eventWireSize]
+}
+
+// decodeV1 validates the PIFTTRC1 records in recs, the first of which is
+// event index first, and decodes them into dst when kept is set. It
+// returns how many records passed before the first bad one, with that
+// one's error. Its loop makes no call that returns into it, so the loop
+// keeps its state in registers.
+func decodeV1(recs []byte, dst []cpu.Event, kept bool, first uint64) (int, error) {
+	n := 0
+	for ; len(recs) >= eventWireSize; recs = recs[eventWireSize:] {
+		rec := recs[:eventWireSize]
 		kind := cpu.EventKind(rec[0])
 		if kind > cpu.EvSinkCheck {
-			return decoded, fmt.Errorf("trace: event %d: %w: unknown kind %d", d.read, ErrCorrupt, kind)
+			return n, fmt.Errorf("trace: event %d: %w: unknown kind %d", first+uint64(n), ErrCorrupt, kind)
 		}
 		start := binary.LittleEndian.Uint32(rec[13:])
 		end := binary.LittleEndian.Uint32(rec[17:])
 		if end < start {
-			return decoded, fmt.Errorf("trace: event %d: %w: inverted range", d.read, ErrCorrupt)
+			return n, fmt.Errorf("trace: event %d: %w: inverted range", first+uint64(n), ErrCorrupt)
 		}
-		dst[decoded] = cpu.Event{
-			Kind:  kind,
-			PID:   binary.LittleEndian.Uint32(rec[1:]),
-			Seq:   binary.LittleEndian.Uint64(rec[5:]),
-			Range: mem.Range{Start: start, End: end},
-			Tag:   int(int32(binary.LittleEndian.Uint32(rec[21:]))),
+		if kept {
+			dst[n] = cpu.Event{
+				Kind:  kind,
+				PID:   binary.LittleEndian.Uint32(rec[1:]),
+				Seq:   binary.LittleEndian.Uint64(rec[5:]),
+				Range: mem.Range{Start: start, End: end},
+				Tag:   int(int32(binary.LittleEndian.Uint32(rec[21:]))),
+			}
 		}
-		decoded++
-		d.read++
+		n++
 	}
-	if rerr != nil {
-		// The header declared more events, so running dry mid-batch —
-		// on a record boundary or inside a record — is a truncation;
-		// other source errors pass through as Next would surface them.
-		return decoded, fmt.Errorf("trace: event %d: %w", d.read, truncated(rerr))
-	}
-	return decoded, nil
+	return n, nil
 }
 
 // Next decodes and returns the next event. It returns io.EOF once all

@@ -10,13 +10,13 @@ import (
 )
 
 // The PIFTTRC2 decode path. A v2 Reader decodes one block at a time into
-// a reused scratch slice (d.pending) and serves Next/NextBatch out of it,
-// so after the first block grows the scratch the steady state allocates
-// nothing — the same contract the v1 batch path has. Because blocks are
-// self-contained, a reader positioned mid-block (a segment reader, or a
-// resume Skip landing inside a block) decodes its containing block and
-// discards the prefix; the extra work is bounded by one block per
-// segment boundary.
+// a reused scratch slice (d.pending) and serves Next/NextBatch/
+// NextBatchKeep out of it, so after the first block grows the scratch the
+// steady state allocates nothing — the same contract the v1 batch path
+// has. Because blocks are self-contained, a reader positioned mid-block (a
+// segment reader, or a resume Skip landing inside a block) decodes its
+// containing block and discards the prefix; the extra work is bounded by
+// one block per segment boundary.
 
 // readBlockHeader reads and validates the next 20-byte block header.
 // Contiguity (the block's first event index must be exactly where the
@@ -45,10 +45,15 @@ func (d *Reader) readBlockHeader() (first uint64, bcount, clen int, crc uint32, 
 	return first, int(count), int(length), crc, nil
 }
 
-// loadBlock reads, checksums, and decodes one block's payload into
-// d.pending, leaving the cursor on the event the stream stands at (which
-// can be mid-block for segment readers).
-func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32) error {
+// loadBlock reads, checksums, and decodes one block payload into
+// d.pending: the events from the one the stream stands at (which can be
+// mid-block for segment readers) to the reader's logical end or the
+// block's, whichever comes first, whose PIDs keep accepts. A block that
+// the reader's range covers whole is decoded under keep, stepping over
+// rejected runs; a block the range enters or leaves inside — a segment
+// edge — is decoded whole and filtered by index, as a plain segment
+// reader decodes it.
+func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, keep func(pid uint32) bool) error {
 	if cap(d.buf) < clen {
 		d.buf = make([]byte, clen)
 	}
@@ -62,34 +67,50 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32) error {
 	if cap(d.pending) < bcount {
 		d.pending = make([]cpu.Event, bcount)
 	}
-	d.pending = d.pending[:bcount]
-	if err := decodeBlockPayload(payload, d.pending, first, &d.sc); err != nil {
+	d.pending, d.pendPos = d.pending[:bcount], 0
+	end := first + uint64(bcount)
+	whole := d.read == first && d.count >= end
+	blockKeep := keep
+	if !whole {
+		blockKeep = nil
+	}
+	n, err := decodeBlockPayload(payload, d.pending, first, &d.sc, blockKeep)
+	if err != nil {
 		d.pending = d.pending[:0]
-		d.pendPos = 0
 		return err
 	}
-	if d.read < first || d.read-first >= uint64(bcount) {
+	if d.read < first || d.read >= end {
 		d.pending = d.pending[:0]
-		d.pendPos = 0
 		return fmt.Errorf("trace: block at event %d: %w: does not contain event %d", first, ErrCorrupt, d.read)
 	}
-	d.pendPos = int(d.read - first)
+	end = min(end, d.count)
+	if !whole {
+		n = 0
+		for _, ev := range d.pending[d.read-first : end-first] {
+			if keep == nil || keep(ev.PID) {
+				d.pending[n] = ev
+				n++
+			}
+		}
+	}
+	d.pending = d.pending[:n]
+	d.blockEnd = end
 	d.nextBlock = first + uint64(bcount)
 	return nil
 }
 
 // decodeBlock advances the stream to the next block and decodes it.
-func (d *Reader) decodeBlock() error {
+func (d *Reader) decodeBlock(keep func(pid uint32) bool) error {
 	first, bcount, clen, crc, err := d.readBlockHeader()
 	if err != nil {
 		return err
 	}
-	return d.loadBlock(first, bcount, clen, crc)
+	return d.loadBlock(first, bcount, clen, crc, keep)
 }
 
 func (d *Reader) nextV2() (cpu.Event, error) {
 	if d.pendPos >= len(d.pending) {
-		if err := d.decodeBlock(); err != nil {
+		if err := d.decodeBlock(nil); err != nil {
 			return cpu.Event{}, err
 		}
 	}
@@ -99,20 +120,31 @@ func (d *Reader) nextV2() (cpu.Event, error) {
 	return ev, nil
 }
 
-func (d *Reader) nextBatchV2(dst []cpu.Event) (int, error) {
-	if d.pendPos >= len(d.pending) {
-		if err := d.decodeBlock(); err != nil {
+// nextBatchV2 serves dst out of the current block, decoding the next one
+// when the current one is used up. A plain read advances Offset per
+// event; a filtered one cannot know where its kept events sit between
+// the rejected ones, so it advances Offset past the block once the
+// block's last kept event is returned, and moves on from a block with no
+// kept events at once.
+func (d *Reader) nextBatchV2(dst []cpu.Event, keep func(pid uint32) bool) (int, error) {
+	for d.pendPos >= len(d.pending) {
+		if d.read >= d.count {
+			return 0, io.EOF
+		}
+		if err := d.decodeBlock(keep); err != nil {
 			return 0, err
+		}
+		if len(d.pending) == 0 {
+			d.read = d.blockEnd
 		}
 	}
 	n := copy(dst, d.pending[d.pendPos:])
-	// A segment reader's logical end can land mid-block: serve only up
-	// to it, like a v1 reader whose section ran out of records.
-	if rem := d.count - d.read; uint64(n) > rem {
-		n = int(rem)
-	}
 	d.pendPos += n
-	d.read += uint64(n)
+	if keep == nil {
+		d.read += uint64(n)
+	} else if d.pendPos == len(d.pending) {
+		d.read = d.blockEnd
+	}
 	return n, nil
 }
 
@@ -146,7 +178,7 @@ func (d *Reader) skipV2(n uint64) error {
 			d.nextBlock = first + uint64(bcount)
 			continue
 		}
-		if err := d.loadBlock(first, bcount, clen, crc); err != nil {
+		if err := d.loadBlock(first, bcount, clen, crc, nil); err != nil {
 			return fmt.Errorf("trace: skipping to event %d: %w", target, err)
 		}
 	}

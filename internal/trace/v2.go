@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"repro/internal/cpu"
 )
@@ -239,114 +240,192 @@ func getUvarint(b []byte, i int) (uint64, int) {
 	return v, i + n
 }
 
-// decScratch is a block decoder's reusable working state, mirroring
-// encScratch: the decoded PID dictionary, each event's dictionary index
-// (recovered from the run column), and the per-PID delta chains.
+// decScratch is a block decoder's reusable working state: the decoded
+// PID dictionary, each entry's keep decision, the run column (rejected
+// runs coalesced), and the per-PID delta chains.
 type decScratch struct {
 	pids  []uint32
-	idx   []uint16
+	kept  []bool
+	runs  []blockRun
 	seq   []uint64
 	start []int64
 }
 
-// decodeBlockPayload decodes a verified (CRC-checked) block payload into
-// dst, whose length is the block's declared event count. first is the
-// block's absolute first event index, used only for error reporting.
-// Every structural impossibility — dictionary indexes out of range, runs
-// not summing to the count, accumulated ranges leaving uint32, trailing
-// or missing bytes — is ErrCorrupt: the bytes arrived intact-length and
-// CRC-clean but cannot be a block this package wrote.
-func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decScratch) error {
+// blockRun is one entry of a decoded run column: n consecutive events of
+// dictionary entry id, or, when skip is set, n consecutive events of
+// rejected PIDs, coalesced across runs because the decoder only steps
+// over them.
+type blockRun struct {
+	id   uint16
+	skip bool
+	n    uint32
+}
+
+// skipUvarints returns the index just past the n uvarints that start at
+// b[i], or -1 when b ends first. Every uvarint ends at the first byte
+// with its high bit clear, so stepping over n of them is counting n such
+// terminator bytes, eight bytes per load. Malformed values (over-long or
+// overflowing varints) are not detected here; only a decoder that keeps
+// the values checks them.
+func skipUvarints(b []byte, i, n int) int {
+	const hi = 0x8080808080808080
+	for n > 0 && i >= 0 && i+8 <= len(b) {
+		term := ^binary.LittleEndian.Uint64(b[i:]) & hi
+		t := bits.OnesCount64(term)
+		if t >= n {
+			// The n-th terminator is in this word: clear the n-1 below it.
+			for ; n > 1; n-- {
+				term &= term - 1
+			}
+			return i + bits.TrailingZeros64(term)/8 + 1
+		}
+		n -= t
+		i += 8
+	}
+	for ; n > 0; i++ {
+		if i < 0 || i >= len(b) {
+			return -1
+		}
+		if b[i] < 0x80 {
+			n--
+		}
+	}
+	return i
+}
+
+// decodeBlockPayload decodes a verified (CRC-checked) block payload of
+// len(dst) events. With keep nil it decodes every event into dst; with a
+// keep predicate it decodes only the runs of PIDs keep accepts, packed
+// into the front of dst in stream order, and steps over the rest. It
+// returns how many events it wrote. first is the block's absolute first
+// event index, used only for error reporting. Every structural
+// impossibility — dictionary indexes out of range, runs not summing to
+// the count, trailing or missing bytes — and, for the events it decodes,
+// every accumulated range leaving uint32 is ErrCorrupt: the bytes
+// arrived intact-length and CRC-clean but cannot be a block this package
+// wrote.
+func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decScratch, keep func(pid uint32) bool) (int, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("trace: block at event %d: %w: %s", first, ErrCorrupt, what)
 	}
 	ndict, i := getUvarint(payload, 0)
 	if i < 0 || ndict == 0 || ndict > uint64(len(dst)) {
-		return corrupt("bad PID dictionary size")
+		return 0, corrupt("bad PID dictionary size")
 	}
 	if cap(sc.pids) < int(ndict) {
 		sc.pids = make([]uint32, ndict)
+		sc.kept = make([]bool, ndict)
 	}
-	pids := sc.pids[:ndict]
-	sc.pids = pids
+	pids, kept := sc.pids[:ndict], sc.kept[:ndict]
+	sc.pids, sc.kept = pids, kept
 	for k := range pids {
 		var v uint64
 		v, i = getUvarint(payload, i)
 		if i < 0 || v > 1<<32-1 {
-			return corrupt("bad PID dictionary entry")
+			return 0, corrupt("bad PID dictionary entry")
 		}
 		pids[k] = uint32(v)
+		kept[k] = keep == nil || keep(uint32(v))
 	}
-	if cap(sc.idx) < len(dst) {
-		sc.idx = make([]uint16, len(dst))
-	}
-	idx := sc.idx[:len(dst)]
-	sc.idx = idx
-	// The column loops below decode one uvarint per event each. getUvarint
-	// is too big for the inliner (cost ~127 vs the 80 budget), and a
-	// non-inlined call per column per event is most of the decode cost,
-	// so each loop carries 1/2/3-byte fast paths inline — the
-	// uint(i)+k < uint(len) compares both guard the loads and eliminate
-	// the bounds checks, and three bytes cover every varint the per-PID
-	// delta chains produce in practice (a 64 KiB-arena start delta
-	// zigzags into 17 bits) — with only longer or payload-end varints
-	// taking the call. Each later branch is only reached with the
-	// previous bytes' continuation bits set, so the masks are exact.
+	// The run column: kept runs fill in their events' PIDs, rejected
+	// neighbours coalesce into one step.
+	runs := sc.runs[:0]
+	out := 0
 	for filled := 0; filled < len(dst); {
 		var id, n uint64
 		id, i = getUvarint(payload, i)
 		n, i = getUvarint(payload, i)
 		if i < 0 || id >= ndict || n == 0 || n > uint64(len(dst)-filled) {
-			return corrupt("bad PID run")
-		}
-		pid := pids[id]
-		for k := 0; k < int(n); k++ {
-			dst[filled+k].PID = pid
-			idx[filled+k] = uint16(id)
+			return 0, corrupt("bad PID run")
 		}
 		filled += int(n)
-	}
-	for k := range dst {
-		var v uint64
-		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
-			v = uint64(payload[i])
-			i++
-		} else if uint(i)+1 < uint(len(payload)) && payload[i+1] < 0x80 {
-			v = uint64(payload[i]&0x7f) | uint64(payload[i+1])<<7
-			i += 2
-		} else if uint(i)+2 < uint(len(payload)) && payload[i+2] < 0x80 {
-			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
-			i += 3
-		} else if v, i = getUvarint(payload, i); i < 0 {
-			return corrupt("bad kind/tag column")
+		if !kept[id] {
+			if len(runs) > 0 && runs[len(runs)-1].skip {
+				runs[len(runs)-1].n += uint32(n)
+			} else {
+				runs = append(runs, blockRun{skip: true, n: uint32(n)})
+			}
+			continue
 		}
-		dst[k].Kind = cpu.EventKind(v & 3)
-		dst[k].Tag = int(unzigzag(v >> 2))
+		run := dst[out : out+int(n)]
+		pid := pids[id]
+		for k := range run {
+			run[k].PID = pid
+		}
+		out += int(n)
+		runs = append(runs, blockRun{id: uint16(id), n: uint32(n)})
 	}
+	sc.runs = runs
 	sc.seq = resetU64(sc.seq, int(ndict))
-	lastSeq := sc.seq
-	for k := range dst {
-		var v uint64
-		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
-			v = uint64(payload[i])
-			i++
-		} else if uint(i)+1 < uint(len(payload)) && payload[i+1] < 0x80 {
-			v = uint64(payload[i]&0x7f) | uint64(payload[i+1])<<7
-			i += 2
-		} else if uint(i)+2 < uint(len(payload)) && payload[i+2] < 0x80 {
-			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
-			i += 3
-		} else if v, i = getUvarint(payload, i); i < 0 {
-			return corrupt("bad seq column")
-		}
-		d := idx[k]
-		s := lastSeq[d] + uint64(unzigzag(v))
-		lastSeq[d] = s
-		dst[k].Seq = s
-	}
 	sc.start = resetI64(sc.start, int(ndict))
-	lastStart := sc.start
-	for k := range dst {
+	if i, what := decodeColumns(payload, i, runs, dst, sc.seq, sc.start); i < 0 {
+		return 0, corrupt(what)
+	} else if i != len(payload) {
+		return 0, corrupt("trailing bytes after the last column")
+	}
+	return out, nil
+}
+
+// decodeColumns decodes the four data columns, which follow one another
+// from payload[i], walking the runs once per column: a rejected run is
+// stepped over whole, and a kept run's slots of dst go to the column's
+// run decoder. The seq and range-start deltas chain per PID, so a run
+// continues its PID's chain (seq[id], start[id], zero at the block
+// start) and the chain is stored back at the run's end. It returns the
+// index past the last column, or -1 and what was wrong.
+//
+// A run decoder is a separate function so that its loop, like a flat
+// loop over the block, keeps its counter and value in registers; it
+// returns -1 on a malformed varint and, for the range columns, false on
+// a range outside the address space. getUvarint is too big for the
+// inliner (cost ~127 vs the 80 budget), and a non-inlined call per
+// column per event is most of the decode cost, so each run decoder
+// carries 1/2/3-byte fast paths inline — the uint(i)+k < uint(len)
+// compares both guard the loads and eliminate the bounds checks, and
+// three bytes cover every varint the per-PID delta chains produce in
+// practice (a 64 KiB-arena start delta zigzags into 17 bits) — with only
+// longer or payload-end varints taking the call. Each later branch is
+// only reached with the previous bytes' continuation bits set, so the
+// masks are exact.
+func decodeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, seq []uint64, start []int64) (int, string) {
+	for col, name := range [...]string{"kind/tag", "seq", "range-start", "range-length"} {
+		at := 0
+		for _, r := range runs {
+			if r.skip {
+				if i = skipUvarints(payload, i, int(r.n)); i < 0 {
+					return -1, "bad " + name + " column"
+				}
+				continue
+			}
+			run := dst[at : at+int(r.n)]
+			at += len(run)
+			ok := true
+			switch col {
+			case 0:
+				i = kindTagRun(payload, i, run)
+			case 1:
+				i, seq[r.id] = seqRun(payload, i, run, seq[r.id])
+			case 2:
+				i, start[r.id], ok = startRun(payload, i, run, start[r.id])
+			case 3:
+				i, ok = lengthRun(payload, i, run)
+			}
+			if i < 0 {
+				return -1, "bad " + name + " column"
+			}
+			if !ok { // only the range columns check their values
+				if col == 2 {
+					return -1, "range start outside the address space"
+				}
+				return -1, "range end outside the address space"
+			}
+		}
+	}
+	return i, ""
+}
+
+func kindTagRun(payload []byte, i int, run []cpu.Event) int {
+	for k := range run {
 		var v uint64
 		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
 			v = uint64(payload[i])
@@ -358,17 +437,61 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
 			i += 3
 		} else if v, i = getUvarint(payload, i); i < 0 {
-			return corrupt("bad range-start column")
+			return -1
 		}
-		d := idx[k]
-		start := lastStart[d] + unzigzag(v)
+		run[k].Kind = cpu.EventKind(v & 3)
+		run[k].Tag = int(unzigzag(v >> 2))
+	}
+	return i
+}
+
+func seqRun(payload []byte, i int, run []cpu.Event, seq uint64) (int, uint64) {
+	for k := range run {
+		var v uint64
+		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
+			v = uint64(payload[i])
+			i++
+		} else if uint(i)+1 < uint(len(payload)) && payload[i+1] < 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1])<<7
+			i += 2
+		} else if uint(i)+2 < uint(len(payload)) && payload[i+2] < 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
+			i += 3
+		} else if v, i = getUvarint(payload, i); i < 0 {
+			return -1, 0
+		}
+		seq += uint64(unzigzag(v))
+		run[k].Seq = seq
+	}
+	return i, seq
+}
+
+func startRun(payload []byte, i int, run []cpu.Event, start int64) (int, int64, bool) {
+	for k := range run {
+		var v uint64
+		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
+			v = uint64(payload[i])
+			i++
+		} else if uint(i)+1 < uint(len(payload)) && payload[i+1] < 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1])<<7
+			i += 2
+		} else if uint(i)+2 < uint(len(payload)) && payload[i+2] < 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
+			i += 3
+		} else if v, i = getUvarint(payload, i); i < 0 {
+			return -1, 0, true
+		}
+		start += unzigzag(v)
 		if start < 0 || start > 1<<32-1 {
-			return corrupt("range start outside the address space")
+			return i, 0, false
 		}
-		lastStart[d] = start
-		dst[k].Range.Start = uint32(start)
+		run[k].Range.Start = uint32(start)
 	}
-	for k := range dst {
+	return i, start, true
+}
+
+func lengthRun(payload []byte, i int, run []cpu.Event) (int, bool) {
+	for k := range run {
 		var v uint64
 		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
 			v = uint64(payload[i])
@@ -380,18 +503,15 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
 			i += 3
 		} else if v, i = getUvarint(payload, i); i < 0 {
-			return corrupt("bad range-length column")
+			return -1, true
 		}
-		end := int64(dst[k].Range.Start) + int64(v)
+		end := int64(run[k].Range.Start) + int64(v)
 		if v > 1<<32-1 || end > 1<<32-1 {
-			return corrupt("range end outside the address space")
+			return i, false
 		}
-		dst[k].Range.End = uint32(end)
+		run[k].Range.End = uint32(end)
 	}
-	if i != len(payload) {
-		return corrupt("trailing bytes after the last column")
-	}
-	return nil
+	return i, true
 }
 
 // BlockWriter streams a PIFTTRC2 trace: events appended one at a time

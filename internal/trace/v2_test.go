@@ -379,27 +379,40 @@ func TestV2GoldenBytes(t *testing.T) {
 
 // TestV2NextBatchAllocationFree is the v2 steady-state gate: after the
 // first blocks size the scratch buffers, batched decode of a uniform
-// stream allocates nothing — including across block boundaries.
+// stream allocates nothing — including across block boundaries, and
+// including a filtered read that keeps half the PIDs and steps over the
+// other half's runs.
 func TestV2NextBatchAllocationFree(t *testing.T) {
-	orig := uniformTrace(40 * DefaultBlockEvents)
-	data := encodeFormat(t, orig, FormatV2)
-	sr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]cpu.Event, 256)
-	// Warm through two full blocks so every scratch is at steady size.
-	for sr.Offset() < 2*DefaultBlockEvents {
-		if _, err := sr.NextBatch(dst); err != nil {
+	for _, tc := range []struct {
+		name   string
+		blocks int
+		keep   func(pid uint32) bool
+	}{
+		{"plain", 40, nil},
+		// A filtered call returns at most a block's kept events, so
+		// 300 calls need more blocks.
+		{"keep-half", 80, func(pid uint32) bool { return pid%2 == 0 }},
+	} {
+		orig := uniformTrace(tc.blocks * DefaultBlockEvents)
+		data := encodeFormat(t, orig, FormatV2)
+		sr, err := NewReader(bytes.NewReader(data))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := testing.AllocsPerRun(300, func() {
-		if _, err := sr.NextBatch(dst); err != nil {
-			t.Fatal(err)
+		dst := make([]cpu.Event, 256)
+		// Warm through two full blocks so every scratch is at steady size.
+		for sr.Offset() < 2*DefaultBlockEvents {
+			if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("v2 NextBatch allocates %v times per call", n)
+		if n := testing.AllocsPerRun(300, func() {
+			if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: v2 NextBatch allocates %v times per call", tc.name, n)
+		}
 	}
 }
 
