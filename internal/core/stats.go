@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Merge accumulates another tracker's statistics into s: event and
 // operation counters sum exactly, while the MaxBytes/MaxRanges watermarks
@@ -38,14 +41,13 @@ func (s *Stats) Merge(other Stats) {
 // compared byte-for-byte against the sequential oracle. The sort is
 // stable, so verdicts that tie on all three keys keep their stream order.
 func SortVerdicts(vs []SinkVerdict) {
-	sort.SliceStable(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
+	slices.SortStableFunc(vs, func(a, b SinkVerdict) int {
+		if c := cmp.Compare(a.PID, b.PID); c != 0 {
+			return c
 		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+			return c
 		}
-		return a.Tag < b.Tag
+		return cmp.Compare(a.Tag, b.Tag)
 	})
 }

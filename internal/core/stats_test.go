@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/trace/tracegen"
 )
 
 func TestStatsMerge(t *testing.T) {
@@ -155,5 +159,69 @@ func TestSortVerdicts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vs, want) {
 		t.Fatalf("SortVerdicts = %+v, want %+v", vs, want)
+	}
+}
+
+// sortVerdictsReference is SortVerdicts as sort.SliceStable over the same
+// (PID, Seq, Tag) key.
+func sortVerdictsReference(vs []SinkVerdict) {
+	sort.SliceStable(vs, func(i, j int) bool {
+		a, b := vs[i], vs[j]
+		if a.PID != b.PID {
+			return a.PID < b.PID
+		}
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		return a.Tag < b.Tag
+	})
+}
+
+// TestSortVerdictsMatchesReference: on random lists with ties on every
+// key, SortVerdicts orders exactly as the reference, ties included (the
+// Tainted flag tells tied verdicts apart).
+func TestSortVerdictsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		vs := make([]SinkVerdict, rng.Intn(200))
+		for i := range vs {
+			vs[i] = SinkVerdict{
+				PID: uint32(rng.Intn(3)), Seq: uint64(rng.Intn(4)),
+				Tag: rng.Intn(4) - 1, Tainted: rng.Intn(2) == 0,
+			}
+		}
+		want := append([]SinkVerdict(nil), vs...)
+		sortVerdictsReference(want)
+		SortVerdicts(vs)
+		if !slices.Equal(vs, want) {
+			t.Fatalf("trial %d: SortVerdicts = %+v, want %+v", trial, vs, want)
+		}
+	}
+}
+
+// BenchmarkSortVerdicts sorts the verdicts of two PID shards of a
+// default-density 1 Mi-event corpus, concatenated, as Pipeline.Close
+// and MergeTrackers do.
+func BenchmarkSortVerdicts(b *testing.B) {
+	shards := [2]*Tracker{
+		NewTracker(Config{NI: 13, NT: 3, Untaint: true}, nil),
+		NewTracker(Config{NI: 13, NT: 3, Untaint: true}, nil),
+	}
+	for _, ev := range tracegen.Generate(tracegen.Spec{Seed: 1}).Events {
+		shards[ev.PID%2].Event(ev)
+	}
+	all := append(append([]SinkVerdict(nil), shards[0].Verdicts()...), shards[1].Verdicts()...)
+	vs := make([]SinkVerdict, len(all))
+	for _, c := range []struct {
+		name string
+		sort func([]SinkVerdict)
+	}{{"SortVerdicts", SortVerdicts}, {"SliceStable", sortVerdictsReference}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(vs, all)
+				c.sort(vs)
+			}
+		})
 	}
 }

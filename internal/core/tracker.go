@@ -90,6 +90,10 @@ type Tracker struct {
 	// win is skipped for all but the first of each run.
 	lastPID uint32
 	lastWin *window
+
+	// cursor is where the last EventBatch call stopped (see
+	// BatchCursor).
+	cursor int
 }
 
 // NewTracker builds a tracker over the given store; a nil store gets a
@@ -219,6 +223,103 @@ func (t *Tracker) Event(ev cpu.Event) {
 			Tag: ev.Tag, PID: ev.PID, Seq: ev.Seq, Tainted: tainted,
 		})
 	}
+}
+
+// EventBatch applies evs in stream order with the same effect as calling
+// Event on each of them: the same Stats, verdicts, windows, taint sets
+// and metric values.
+//
+// In Algorithm 1 only taint changes state: a load opens a window only if
+// it overlaps the process's taint set, a store taints only inside an
+// open window, and untainting removes only tainted bytes. A process whose
+// taint set is empty and whose window is closed is quiet: until it
+// registers a source, its events change nothing but counters, a clean
+// verdict per sink check and the window entry a store creates.
+// EventBatch walks the batch by PID run and applies a quiet process's run
+// up to its next source registration as exactly those counts, without a
+// taint-store lookup. Every other run goes through Event. A window past
+// its NI horizon that no store has closed yet is still open, so its
+// process is not quiet: its next store must count the expiration.
+//
+// Only a tracker on the IdealStore takes the quiet path. A bounded
+// store's lookups move its LRU state and hit counts, so every event of a
+// tracker on one goes through Event.
+//
+// If Event panics (a faulty Store), the panic propagates and BatchCursor
+// reports which event raised it.
+func (t *Tracker) EventBatch(evs []cpu.Event) {
+	i := 0
+	// The cursor is written once per call, not per event: pipeline
+	// workers' trackers can share a cache line, and a store per event
+	// there would bounce it between their cores.
+	defer func() { t.cursor = i }()
+	ideal, _ := t.store.(*IdealStore)
+	for i < len(evs) {
+		pid := evs[i].PID
+		if ideal != nil && t.quiet(ideal, pid) {
+			i += t.quietRun(pid, evs[i:])
+		}
+		for ; i < len(evs) && evs[i].PID == pid; i++ {
+			t.Event(evs[i])
+		}
+	}
+}
+
+// BatchCursor returns where the last EventBatch call stopped: len(evs)
+// when it returned, and after a panic out of it the index in evs of the
+// event that raised the panic, so a caller that recovers can skip
+// exactly that event and resume the batch after it.
+func (t *Tracker) BatchCursor() int { return t.cursor }
+
+// quiet reports whether pid holds no taint and no open window.
+func (t *Tracker) quiet(s *IdealStore, pid uint32) bool {
+	if rs := s.set(pid, false); rs != nil && !rs.Empty() {
+		return false
+	}
+	w := t.lastWin
+	if w == nil || t.lastPID != pid {
+		if w = t.windows[pid]; w != nil {
+			t.lastPID, t.lastWin = pid, w
+		}
+	}
+	return w == nil || !w.open
+}
+
+// quietRun applies the leading events of evs that belong to the quiet
+// process pid, up to its next source registration, and returns how many
+// it applied. Whether a memory access is a load or a store is as random
+// as the program's mix of reads and writes, so the loop counts all
+// memory accesses and the stores among them, which compiles to a
+// conditional move rather than a branch.
+func (t *Tracker) quietRun(pid uint32, evs []cpu.Event) int {
+	var memOps, stores, sinks uint64
+	n := 0
+scan:
+	for ; n < len(evs) && evs[n].PID == pid; n++ {
+		ev := &evs[n]
+		switch ev.Kind {
+		case cpu.EvLoad, cpu.EvStore:
+			memOps++
+			if ev.Kind == cpu.EvStore {
+				stores++
+			}
+		case cpu.EvSinkCheck:
+			sinks++
+			t.verdicts = append(t.verdicts, SinkVerdict{Tag: ev.Tag, PID: pid, Seq: ev.Seq})
+		case cpu.EvSourceRegister:
+			break scan
+		}
+	}
+	if stores > 0 {
+		t.win(pid)
+	}
+	t.stats.Loads += memOps - stores
+	t.stats.Stores += stores
+	if sinks > 0 {
+		t.stats.SinkChecks += sinks
+		t.m.SinkChecks.Add(sinks)
+	}
+	return n
 }
 
 func (t *Tracker) win(pid uint32) *window {

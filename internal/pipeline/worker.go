@@ -56,9 +56,6 @@ type worker struct {
 
 	// maxRestarts is the shard's panic budget K (Options.MaxRestarts).
 	maxRestarts int
-	// cursor tracks the index of the event currently being analyzed, so
-	// a recovered panic knows exactly where to resume the batch.
-	cursor int
 	// panics counts panics recovered on this shard; the first maxRestarts
 	// of them restart the shard, the next one fails it for good.
 	panics int
@@ -192,24 +189,31 @@ func (w *worker) process(batch []cpu.Event, obs func(int, cpu.Event), pm Pipelin
 // consume feeds events to the tracker until the slice is exhausted or a
 // panic escapes the tracker/observer. It reports how many events were
 // fully analyzed before the fault and whether the slice completed; on a
-// fault, evs[n] is the event whose analysis panicked.
+// fault, evs[n] is the event whose analysis panicked. Without an observer
+// the tracker takes the whole slice in one EventBatch call; an observer
+// must see every event before the tracker does, so it keeps the
+// per-event loop.
 func (w *worker) consume(evs []cpu.Event, obs func(int, cpu.Event)) (n int, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if w.firstErr == nil {
 				w.firstErr = fmt.Errorf("pipeline: worker %d panicked: %v", w.idx, r)
 			}
-			n, ok = w.cursor, false
+			if obs == nil {
+				n = w.tr.BatchCursor()
+			}
+			ok = false
 		}
 	}()
-	for i, ev := range evs {
-		w.cursor = i
-		if obs != nil {
-			obs(w.idx, ev)
-		}
-		w.tr.Event(ev)
+	if obs == nil {
+		w.tr.EventBatch(evs)
+		return len(evs), true
 	}
-	return len(evs), true
+	for ; n < len(evs); n++ {
+		obs(w.idx, evs[n])
+		w.tr.Event(evs[n])
+	}
+	return n, true
 }
 
 // fault summarizes the shard's fault state for Result.Faults; zero-value

@@ -380,9 +380,7 @@ func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *
 		if p != nil {
 			p.EventBatch(buf[:n])
 		} else {
-			for _, ev := range buf[:n] {
-				sess.tr.Event(ev)
-			}
+			sess.tr.EventBatch(buf[:n])
 		}
 		resp.Ingested += uint64(n)
 	}
