@@ -245,6 +245,13 @@ func (t *Tracker) Event(ev cpu.Event) {
 // store's lookups move its LRU state and hit counts, so every event of a
 // tracker on one goes through Event.
 //
+// A quiet run reads no event's range, so a reader may leave the ranges
+// of a quiet process's events undecoded (trace.ProjectedRange). Such a
+// range ends below its start, which no decoder produces, and EventBatch
+// panics on one outside a quiet run: a reader that left out a range
+// Algorithm 1 needs faults the batch instead of computing a verdict from
+// it.
+//
 // If Event panics (a faulty Store), the panic propagates and BatchCursor
 // reports which event raised it.
 func (t *Tracker) EventBatch(evs []cpu.Event) {
@@ -260,9 +267,22 @@ func (t *Tracker) EventBatch(evs []cpu.Event) {
 			i += t.quietRun(pid, evs[i:])
 		}
 		for ; i < len(evs) && evs[i].PID == pid; i++ {
+			if evs[i].Range.End < evs[i].Range.Start {
+				panic(fmt.Sprintf("core: projected event %d of PID %d outside a quiet run", i, pid))
+			}
 			t.Event(evs[i])
 		}
 	}
+}
+
+// Quiet reports whether EventBatch would apply pid's next events as
+// counts: the tracker runs on an IdealStore, pid's taint set is empty and
+// its window is closed. A quiet process stays quiet until it registers a
+// source, so a reader may leave out the ranges of its events up to that
+// registration.
+func (t *Tracker) Quiet(pid uint32) bool {
+	ideal, _ := t.store.(*IdealStore)
+	return ideal != nil && t.quiet(ideal, pid)
 }
 
 // BatchCursor returns where the last EventBatch call stopped: len(evs)

@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"regexp"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -25,9 +28,16 @@ import (
 // rule that picked the first worker's error, rather than the lowest
 // offset, would report the later damage. In PIFTTRC2 both places are
 // CRC-clean structural breaks inside one PID's run, which only the worker
-// that keeps the run decodes.
+// that keeps the run decodes, and both PIDs hold taint at their damaged
+// blocks, so the worker decodes their ranges.
+//
+// A DrainTrace worker reads a quiet process's events without their
+// ranges, which Algorithm 1 does not read, and so does not see damage to
+// their values: the v2-quiet case damages a range start of a quiet PID,
+// and the drain must return the Result of the undamaged trace while a
+// plain read still fails at that event's block.
 func TestDrainTraceEarliestDamage(t *testing.T) {
-	rec := tracegen.Generate(tracegen.Spec{Seed: 71, Events: 40_000, PIDs: 16, Quantum: 64})
+	rec := tracegen.Generate(tracegen.Spec{Seed: 71, Events: 40_000, PIDs: 16, Quantum: 64, SourceEvery: 64})
 	// early's shard sits above late's at both widths.
 	var early, late uint32
 	for a := uint32(1); a <= 16 && early == 0; a++ {
@@ -58,19 +68,103 @@ func TestDrainTraceEarliestDamage(t *testing.T) {
 	})
 
 	t.Run("v2", func(t *testing.T) {
-		var buf bytes.Buffer
-		if _, err := rec.WriteToFormat(&buf, trace.FormatV2); err != nil {
-			t.Fatal(err)
+		raw, idx := encodeV2(t, rec)
+		for _, d := range []struct {
+			pid  uint32
+			near uint64
+		}{{early, 10_000}, {late, 25_000}} {
+			b := blockAt(idx, d.near)
+			if len(replay(rec.Events[:b.First]).Store().(*core.IdealStore).Ranges(d.pid)) == 0 {
+				t.Fatalf("PID %d holds no taint at the block at %d: a projected drain would not decode its ranges", d.pid, b.First)
+			}
+			breakRangeStart(t, raw, b, rec.Events, d.pid)
 		}
-		raw := buf.Bytes()
-		idx, err := trace.LoadIndex(bytes.NewReader(raw))
+		checkEarliest(t, raw)
+	})
+
+	t.Run("v2-quiet", func(t *testing.T) {
+		// At this density most processes hold taint by event 25,000 and
+		// a few are quiet through the block that holds it.
+		rec := tracegen.Generate(tracegen.Spec{Seed: 72, Events: 40_000, PIDs: 16, Quantum: 64, SourceEvery: 1024})
+		raw, idx := encodeV2(t, rec)
+		clean := bytes.Clone(raw)
+		b := blockAt(idx, 25_000)
+		block := rec.Events[b.First : b.First+uint64(b.Count)]
+		tr := replay(rec.Events[:b.First])
+		if tr.Stats().TaintOps == 0 {
+			t.Fatal("no process has spread taint before the damaged block")
+		}
+		var quiet uint32
+		for pid := uint32(1); pid <= 16 && quiet == 0; pid++ {
+			has := func(ev cpu.Event) bool { return ev.PID == pid }
+			source := func(ev cpu.Event) bool { return ev.PID == pid && ev.Kind == cpu.EvSourceRegister }
+			if tr.Quiet(pid) && slices.ContainsFunc(block, has) && !slices.ContainsFunc(block, source) {
+				quiet = pid
+			}
+		}
+		if quiet == 0 {
+			t.Fatalf("no PID is quiet through the block at %d", b.First)
+		}
+		breakRangeStart(t, raw, b, rec.Events, quiet)
+
+		r, err := trace.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		breakRangeStart(t, raw, idx, rec.Events, early, 10_000)
-		breakRangeStart(t, raw, idx, rec.Events, late, 25_000)
-		checkEarliest(t, raw)
+		var plainErr error
+		for buf := make([]cpu.Event, 256); plainErr == nil; {
+			_, plainErr = r.NextBatch(buf)
+		}
+		if !errors.Is(plainErr, trace.ErrCorrupt) || r.Offset() != b.First {
+			t.Fatalf("plain read ended with %v at %d, want ErrCorrupt at the block at %d", plainErr, r.Offset(), b.First)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			drain := func(raw []byte) pipeline.Result {
+				res, err := pipeline.New(pipeline.Options{Workers: workers, Config: testCfg}).
+					DrainTrace(context.Background(), bytes.NewReader(raw))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				return res
+			}
+			got, want := drain(raw), drain(clean)
+			if got.Stats != want.Stats || !reflect.DeepEqual(got.Verdicts, want.Verdicts) || len(got.Faults) > 0 {
+				t.Fatalf("workers=%d: the damaged trace's Result differs from the undamaged one's", workers)
+			}
+		}
 	})
+}
+
+// encodeV2 serializes rec as PIFTTRC2 and indexes it.
+func encodeV2(t *testing.T, rec *trace.Recorder) ([]byte, *trace.Index) {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := rec.WriteToFormat(&buf, trace.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := trace.LoadIndex(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), idx
+}
+
+// blockAt returns the PIFTTRC2 block that holds event near.
+func blockAt(idx *trace.Index, near uint64) trace.BlockInfo {
+	var b trace.BlockInfo
+	for i := 0; i < idx.Blocks(); i++ {
+		if b = idx.Block(i); b.First <= near && near < b.First+uint64(b.Count) {
+			break
+		}
+	}
+	return b
+}
+
+// replay applies evs to a fresh tracker.
+func replay(evs []cpu.Event) *core.Tracker {
+	tr := core.NewTracker(testCfg, nil)
+	tr.EventBatch(evs)
+	return tr
 }
 
 // firstOf returns the index of pid's first event at or after from.
@@ -85,19 +179,13 @@ func firstOf(t *testing.T, evs []cpu.Event, pid uint32, from int) int {
 	return 0
 }
 
-// breakRangeStart damages pid's first event in the PIFTTRC2 block that
-// holds event near: its range-start delta, the first of pid's chain in
-// the block and so the start itself zigzagged (even), gets its low bit
-// set, which decodes to a negative start. The block's CRC is recomputed,
-// so only a decoder that keeps pid's run sees the break.
-func breakRangeStart(t *testing.T, raw []byte, idx *trace.Index, evs []cpu.Event, pid uint32, near uint64) {
+// breakRangeStart damages pid's first event in PIFTTRC2 block b: its
+// range-start delta, the first of pid's chain in the block and so the
+// start itself zigzagged (even), gets its low bit set, which decodes to a
+// negative start. The block's CRC is recomputed, so only a decoder that
+// keeps pid's run, and decodes its ranges, sees the break.
+func breakRangeStart(t *testing.T, raw []byte, b trace.BlockInfo, evs []cpu.Event, pid uint32) {
 	t.Helper()
-	var b trace.BlockInfo
-	for i := 0; i < idx.Blocks(); i++ {
-		if b = idx.Block(i); b.First <= near && near < b.First+uint64(b.Count) {
-			break
-		}
-	}
 	at := firstOf(t, evs, pid, int(b.First))
 	if uint64(at) >= b.First+uint64(b.Count) {
 		t.Fatalf("PID %d has no event in the block at %d", pid, b.First)

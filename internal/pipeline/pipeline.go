@@ -124,26 +124,39 @@ func ShardOf(pid uint32, workers int) int {
 // that is the backpressure contract.
 func (p *Pipeline) Event(ev cpu.Event) { p.EventBatch([]cpu.Event{ev}) }
 
-// EventBatch is Event for a run of events in stream order, in one loop: a
-// producer that already holds decoded batches pays one call per batch
-// rather than one per event.
+// EventBatch is Event for a run of events in stream order: a producer
+// that already holds decoded batches pays one call per batch rather than
+// one per event. It routes the batch by PID run, one shard lookup and one
+// copy per run, split where a shard's batch fills, so every shard gets
+// exactly the batches per-event Event calls would give it.
 func (p *Pipeline) EventBatch(evs []cpu.Event) {
 	if p.closed {
 		panic("pipeline: Event after Close")
 	}
-	for _, ev := range evs {
-		i := 0
-		if len(p.workers) > 1 {
-			i = shard(ev.PID, len(p.workers))
-		}
-		b := append(p.pending[i], ev)
-		if len(b) >= p.opts.BatchSize {
-			p.send(p.workers[i], b)
-			b = p.batch()
-		}
-		p.pending[i] = b
-	}
 	p.events += uint64(len(evs))
+	nw := len(p.workers)
+	for len(evs) > 0 {
+		run, i := len(evs), 0 // one worker takes the batch as one run
+		if nw > 1 {
+			run = 1
+			for run < len(evs) && evs[run].PID == evs[0].PID {
+				run++
+			}
+			i = shard(evs[0].PID, nw)
+		}
+		rest := evs[:run]
+		evs = evs[run:]
+		for len(rest) > 0 {
+			b := p.pending[i]
+			n := min(len(rest), p.opts.BatchSize-len(b))
+			b, rest = append(b, rest[:n]...), rest[n:]
+			if len(b) >= p.opts.BatchSize {
+				p.send(p.workers[i], b)
+				b = p.batch()
+			}
+			p.pending[i] = b
+		}
+	}
 }
 
 // Offset returns the number of events dispatched over the pipeline's

@@ -21,7 +21,12 @@ import (
 // copies only its own; a PIFTTRC2 worker reads each block's PID-run
 // column and steps over the runs of other shards' PIDs without decoding
 // them, so the decode work that is duplicated across workers is the
-// cheap part of it.
+// cheap part of it. Without an Observer it also steps over the range
+// columns of every process its tracker reports quiet (core.Tracker.Quiet)
+// at the block's start and that registers no source in the block:
+// Tracker.EventBatch applies such a process's events as counts and reads
+// no range, and taint enters a process only through its own source
+// registration, so the process stays quiet through the block.
 //
 // Correctness is an ordering argument. Tracker state is per-PID, so the
 // merged Result is byte-identical to the sequential tracker's as long as
@@ -33,7 +38,10 @@ import (
 // fails on an event it keeps or on the stream's structure, at the same
 // offset, so the failure with the lowest event offset across the workers
 // is the one a plain reader reports; that is the error DrainTrace
-// returns.
+// returns. The one exception is a value in a range column a worker
+// stepped over: a malformed or out-of-address-space range of a quiet
+// process's event goes unreported, and the Result is the one the
+// undamaged bytes give, since Algorithm 1 never reads that range.
 //
 // Checkpoint offsets keep their contract by phasing: the trace is drained
 // in phases bounded at CheckpointEvery multiples, with a full barrier
@@ -53,7 +61,8 @@ import (
 // DrainTrace on the same bytes: the first phase starts at Offset(), no
 // Skip needed. On a decode, checkpoint, or cancellation error the
 // pipeline is shut down cleanly and the error returned — for a decode
-// error, the one a plain reader over the same bytes reports; the partial
+// error, the one a plain reader over the same bytes reports, except for
+// damage to the range values of a quiet process (see above); the partial
 // Result is discarded.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
 	idx, err := trace.LoadIndex(ra)
@@ -112,6 +121,11 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 		jobs[w] = phaseJob{ctx: ctx, r: idx.SegmentReader(ra, seg), batch: p.opts.BatchSize, wg: &phase}
 		if nw > 1 {
 			jobs[w].keep = func(pid uint32) bool { return shard(pid, nw) == w }
+		}
+		if p.opts.Observer == nil {
+			// Asked on the worker's goroutine as its reader reaches a
+			// block, after the worker applied every event before it.
+			jobs[w].noRanges = wk.tr.Quiet
 		}
 		if !wk.q.Push(job{phase: &jobs[w]}) {
 			panic("pipeline: phase pushed on closed worker queue")

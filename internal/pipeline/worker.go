@@ -25,18 +25,20 @@ type job struct {
 // phaseJob hands a worker one shard-owned phase: a reader over the
 // phase's event range, which the worker drains in trace order keeping
 // the events keep accepts (its own PIDs'; nil keeps all) — that scan
-// order is what preserves per-PID event order — plus the phase barrier
-// the coordinator waits on. The worker reports a failure in err, with
-// the reader's offset at the failure in at; the coordinator reads both
-// after the barrier.
+// order is what preserves per-PID event order — and reading those of
+// the PIDs noRanges accepts (its tracker's quiet ones; nil: none)
+// without their ranges, plus the phase barrier the coordinator waits on.
+// The worker reports a failure in err, with the reader's offset at the
+// failure in at; the coordinator reads both after the barrier.
 type phaseJob struct {
-	ctx   context.Context
-	r     *trace.Reader
-	keep  func(pid uint32) bool
-	batch int // decode buffer size, in events
-	wg    *sync.WaitGroup
-	err   error
-	at    uint64
+	ctx      context.Context
+	r        *trace.Reader
+	keep     func(pid uint32) bool
+	noRanges func(pid uint32) bool
+	batch    int // decode buffer size, in events
+	wg       *sync.WaitGroup
+	err      error
+	at       uint64
 }
 
 // worker owns one shard: a bounded SPSC job queue feeding a private
@@ -125,7 +127,7 @@ func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pm PipelineMet
 			default:
 			}
 		}
-		n, err := ph.r.NextBatchKeep(buf, ph.keep)
+		n, err := ph.r.NextBatchProject(buf, ph.keep, ph.noRanges)
 		if n > 0 {
 			pm.EventsDispatched.Add(uint64(n))
 			pm.BatchesDispatched.Inc()

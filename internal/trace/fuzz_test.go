@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -65,6 +67,14 @@ func FuzzReadFrom(f *testing.F) {
 // its sentinel and its Offset, and each filtered read starts with the
 // plain read's events, filtered. Pipeline.DrainTrace's lowest-offset
 // error rule rests on this.
+//
+// Each filtered read is then repeated projected: the same PIDs kept, half
+// of them without their ranges. It must return the filtered read's
+// events, with ProjectedRange on exactly the events of those PIDs in the
+// PIFTTRC2 blocks where the PID registers no source, and end as the
+// filtered read does, except past a failure in a range column, whose
+// values a projected read does not check. DrainTrace's projected drain
+// rests on this.
 func FuzzDecodeV2(f *testing.F) {
 	good := randomTrace(300, 3)
 	var buf bytes.Buffer
@@ -76,6 +86,11 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(buf.Bytes()[:HeaderSize+blockHeaderSize-2])
 	f.Add([]byte("PIFTTRC2"))
 	f.Add([]byte{})
+	var quiet bytes.Buffer // f.Add keeps the slice: buf's bytes must stay
+	if _, err := quietTrace(300).WriteToFormat(&quiet, FormatV2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(quiet.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -97,7 +112,10 @@ func FuzzDecodeV2(f *testing.F) {
 				break
 			}
 		}
-		checkFilteredReads(t, data, rec.Events, lastErr, r.Offset())
+		filtered := checkFilteredReads(t, data, rec.Events, lastErr, r.Offset())
+		for k := range filtered {
+			checkProjectedRead(t, data, uint32(k), filtered[k])
+		}
 		if lastErr == io.EOF {
 			if events != r.Len() {
 				t.Fatalf("clean EOF after %d of %d events", events, r.Len())
@@ -134,38 +152,57 @@ func FuzzDecodeV2(f *testing.F) {
 	})
 }
 
+// readResult is how one read of a fuzz input ended: the events it
+// returned, the end of the PIFTTRC2 block each came from, its final error
+// (io.EOF when clean), and its Offset there.
+type readResult struct {
+	events []cpu.Event
+	blocks []uint64
+	err    error
+	at     uint64
+}
+
+// readAll drains a reader over data with next, batch events at a time.
+func readAll(t *testing.T, data []byte, batch int, next func(r *Reader, dst []cpu.Event) (int, error)) readResult {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("NewReader accepted the bytes once, then failed: %v", err)
+	}
+	var res readResult
+	dst := make([]cpu.Event, batch)
+	for {
+		n, err := next(r, dst)
+		// A call serves one block's events at most.
+		for range n {
+			res.blocks = append(res.blocks, r.blockEnd)
+		}
+		res.events = append(res.events, dst[:n]...)
+		if err != nil {
+			res.err, res.at = err, r.Offset()
+			return res
+		}
+	}
+}
+
 // checkFilteredReads reads data with the even-PID and the odd-PID keep
 // predicates and holds them to the plain read's outcome: its events
-// (plain), its final error (io.EOF when clean), and its Offset there.
-func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr error, plainAt uint64) {
+// (plain), its final error (io.EOF when clean), and its Offset there. It
+// returns the two reads.
+func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr error, plainAt uint64) [2]readResult {
 	t.Helper()
-	type result struct {
-		events []cpu.Event
-		err    error
-		at     uint64
-	}
-	var results [2]result
+	var results [2]readResult
 	for k := range results {
 		keep := func(pid uint32) bool { return pid%2 == uint32(k) }
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("NewReader accepted the bytes once, then failed: %v", err)
-		}
-		res := &results[k]
-		dst := make([]cpu.Event, 29)
-		for {
+		results[k] = readAll(t, data, 29, func(r *Reader, dst []cpu.Event) (int, error) {
 			n, err := r.NextBatchKeep(dst, keep)
 			for _, ev := range dst[:n] {
 				if !keep(ev.PID) {
 					t.Fatalf("pid%%2==%d read returned PID %d", k, ev.PID)
 				}
 			}
-			res.events = append(res.events, dst[:n]...)
-			if err != nil {
-				res.err, res.at = err, r.Offset()
-				break
-			}
-		}
+			return n, err
+		})
 	}
 	// The plain events, split by the predicate: each filtered read must
 	// start with its share.
@@ -190,7 +227,7 @@ func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr e
 					plainAt, k, res.err, res.at, len(res.events), len(want[k]))
 			}
 		}
-		return
+		return results
 	}
 	first := -1 // the filtered read that failed at the lowest offset
 	for k, res := range results {
@@ -205,11 +242,77 @@ func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr e
 	if got.at != plainAt {
 		t.Fatalf("earliest filtered failure at offset %d (%v), plain read failed at %d (%v)", got.at, got.err, plainAt, plainErr)
 	}
-	for _, s := range []error{ErrTruncated, ErrCorrupt, ErrBadMagic, ErrTooLarge} {
-		if errors.Is(got.err, s) != errors.Is(plainErr, s) {
-			t.Fatalf("earliest filtered failure %v, plain read %v: sentinels differ", got.err, plainErr)
+	if !sameSentinel(got.err, plainErr) {
+		t.Fatalf("earliest filtered failure %v, plain read %v: sentinels differ", got.err, plainErr)
+	}
+	return results
+}
+
+// rangeColumnFailure matches the errors of a range column: a malformed
+// varint in one, or a range leaving the address space.
+var rangeColumnFailure = regexp.MustCompile(`range[- ](start|length|end)`)
+
+// checkProjectedRead repeats the pid%2 == k read of data projected, the
+// PIDs with pid/2 even kept without their ranges, and holds it to the
+// filtered read filt.
+func checkProjectedRead(t *testing.T, data []byte, k uint32, filt readResult) {
+	t.Helper()
+	keep := func(pid uint32) bool { return pid%2 == k }
+	noRanges := func(pid uint32) bool { return pid/2%2 == 0 }
+	var v2 bool
+	proj := readAll(t, data, 29, func(r *Reader, dst []cpu.Event) (int, error) {
+		v2 = r.Format() == FormatV2
+		return r.NextBatchProject(dst, keep, noRanges)
+	})
+	type blockPID struct {
+		block uint64
+		pid   uint32
+	}
+	sources := map[blockPID]bool{}
+	for i, ev := range filt.events {
+		if ev.Kind == cpu.EvSourceRegister {
+			sources[blockPID{filt.blocks[i], ev.PID}] = true
 		}
 	}
+	for i, want := range filt.events[:min(len(filt.events), len(proj.events))] {
+		if v2 && noRanges(want.PID) && !sources[blockPID{filt.blocks[i], want.PID}] {
+			want.Range = ProjectedRange
+		}
+		if proj.events[i] != want {
+			t.Fatalf("pid%%2==%d projected read event %d is %+v, want %+v", k, i, proj.events[i], want)
+		}
+	}
+	switch {
+	case filt.err == io.EOF:
+		if proj.err != io.EOF || proj.at != filt.at || len(proj.events) != len(filt.events) {
+			t.Fatalf("pid%%2==%d filtered read clean at %d; projected read ended with %v at %d after %d of %d events",
+				k, filt.at, proj.err, proj.at, len(proj.events), len(filt.events))
+		}
+	case proj.err != io.EOF && proj.at == filt.at:
+		if !sameSentinel(proj.err, filt.err) || len(proj.events) != len(filt.events) {
+			t.Fatalf("pid%%2==%d at %d: projected read failed with %v after %d events, filtered read with %v after %d",
+				k, filt.at, proj.err, len(proj.events), filt.err, len(filt.events))
+		}
+	case proj.err == io.EOF || proj.at > filt.at:
+		if !rangeColumnFailure.MatchString(filt.err.Error()) || len(proj.events) < len(filt.events) {
+			t.Fatalf("pid%%2==%d projected read ran past the filtered read's failure at %d (%v) to %v at %d",
+				k, filt.at, filt.err, proj.err, proj.at)
+		}
+	default:
+		t.Fatalf("pid%%2==%d projected read failed at %d (%v), before the filtered read's failure at %d (%v)",
+			k, proj.at, proj.err, filt.at, filt.err)
+	}
+}
+
+// sameSentinel reports whether a and b carry the same taxonomy
+// sentinels.
+func sameSentinel(a, b error) bool {
+	for _, s := range []error{ErrTruncated, ErrCorrupt, ErrBadMagic, ErrTooLarge} {
+		if errors.Is(a, s) != errors.Is(b, s) {
+			return false
+		}
+	}
+	return true
 }
 
 // isSentinelF mirrors the taxonomy test helper for fuzzing: exactly one
@@ -241,6 +344,10 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("PIFTTRC1"))
 	f.Add([]byte{})
 	f.Add([]byte(hugeClaimV1))
+	// A PIFTTRC2 header and a block header that claims the wrong first
+	// event: corrupt, not truncated, though it is shorter than the 25
+	// bytes per event a v1 stream of that count would need.
+	f.Add([]byte("PIFTTRC20000\x00\x00\x00\x00" + strings.Repeat("0", 24)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -272,8 +379,10 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("stream died after %d of %d events with an EOF-flavored error: %v",
 				events, r.Len(), lastErr)
 		}
-		// Truncation (as opposed to corruption) must carry ErrUnexpectedEOF.
-		if !clean && uint64(len(data)) < 16+r.Len()*eventWireSize &&
+		// Truncation (as opposed to corruption) must carry
+		// ErrUnexpectedEOF. The size arithmetic is PIFTTRC1's fixed
+		// stride; FuzzDecodeV2 holds PIFTTRC2 streams to the taxonomy.
+		if !clean && r.Format() == FormatV1 && uint64(len(data)) < 16+r.Len()*eventWireSize &&
 			!errors.Is(lastErr, io.ErrUnexpectedEOF) {
 			// Short input can still fail on a corrupt record before running
 			// dry; only flag errors produced at the point of exhaustion.

@@ -45,12 +45,13 @@ type Reader struct {
 
 	// PIFTTRC2 state; zero for a v1 stream.
 	v2        bool
-	total     uint64      // physical declared count (count can stop short of it)
-	nextBlock uint64      // first event index of the next block on the stream
-	blockEnd  uint64      // one past the last event pending covers
-	pending   []cpu.Event // decoded events of the current block still to serve, reused
-	pendPos   int         // cursor into pending
-	sc        decScratch  // dictionary/run/delta-chain scratch, reused
+	total     uint64                // physical declared count (count can stop short of it)
+	nextBlock uint64                // first event index of the next block on the stream
+	hdr       [blockHeaderSize]byte // block-header scratch
+	blockEnd  uint64                // one past the last event pending covers
+	pending   []cpu.Event           // decoded events of the current block still to serve, reused
+	pendPos   int                   // cursor into pending
+	sc        decScratch            // dictionary/run/delta-chain scratch, reused
 }
 
 // NewReader wraps r, reading and validating the trace header. The wire
@@ -180,6 +181,66 @@ func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
 // returned. A reader serves either filtered reads or the plain ones
 // (Next, NextBatch, Skip), not a mix.
 func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int, error) {
+	return d.nextBatch(dst, keeper{keep: keep})
+}
+
+// ProjectedRange is the range of an event read without its ranges. Its
+// end lies below its start, which no decoder produces for an event it
+// reads whole.
+var ProjectedRange = mem.Range{Start: 1, End: 0}
+
+// NextBatchProject is NextBatchKeep that may also leave ranges out: in a
+// PIFTTRC2 block the reader covers whole, the events of a kept PID that
+// noRanges accepts (asked once per PID per block) are copied with
+// ProjectedRange, their range-start and range-length values stepped over
+// as a rejected run's are — unless one of the PID's events in the block
+// is a source registration, which the decoder learns from the kind
+// column it decodes first; such a PID is kept whole. A nil noRanges is
+// NextBatchKeep. A column stepped over gets the checks a rejected run
+// gets, of its structure, alignment, CRC and the block's trailing bytes,
+// and none of its values. So a projected read fails where the filtered
+// read with the same keep fails, with the same sentinel at the same
+// Offset, except that a malformed or out-of-address-space value in a
+// column it steps over goes unreported. PIFTTRC1 records, and the
+// PIFTTRC2 blocks a segment reader enters or leaves inside, are read
+// whole, and noRanges is not asked there.
+func (d *Reader) NextBatchProject(dst []cpu.Event, keep, noRanges func(pid uint32) bool) (int, error) {
+	return d.nextBatch(dst, keeper{keep: keep, noRanges: noRanges})
+}
+
+// keepMode is what a read does with one PID's events in one block.
+type keepMode uint8
+
+const (
+	reject       keepMode = iota // step over the events
+	keepNoRanges                 // keep them, stepping over their range columns
+	keepWhole                    // keep them whole
+)
+
+// keeper is a read's per-PID decision: the PIDs it keeps (nil keeps
+// all) and those it may keep without ranges (nil: none).
+type keeper struct {
+	keep, noRanges func(pid uint32) bool
+}
+
+// all reports whether the read keeps every event whole.
+func (k keeper) all() bool { return k.keep == nil && k.noRanges == nil }
+
+// keeps reports whether the read keeps pid's events.
+func (k keeper) keeps(pid uint32) bool { return k.keep == nil || k.keep(pid) }
+
+// mode decides pid's events in a block the read covers whole.
+func (k keeper) mode(pid uint32) keepMode {
+	switch {
+	case !k.keeps(pid):
+		return reject
+	case k.noRanges != nil && k.noRanges(pid):
+		return keepNoRanges
+	}
+	return keepWhole
+}
+
+func (d *Reader) nextBatch(dst []cpu.Event, k keeper) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
@@ -187,7 +248,7 @@ func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int
 		return 0, io.EOF
 	}
 	if d.v2 {
-		return d.nextBatchV2(dst, keep)
+		return d.nextBatchV2(dst, k)
 	}
 	for {
 		n := uint64(len(dst))
@@ -206,12 +267,12 @@ func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int
 		recs := buf[:m/eventWireSize*eventWireSize]
 		decoded := 0
 		for len(recs) > 0 {
-			// keep is asked once per PID run; a plain read decodes the
-			// whole batch as one run.
+			// The decision is asked once per PID run; a plain read
+			// decodes the whole batch as one run.
 			run, kept := len(recs), true
-			if keep != nil {
+			if !k.all() {
 				pid := binary.LittleEndian.Uint32(recs[1:])
-				kept = keep(pid)
+				kept = k.keeps(pid)
 				run = eventWireSize
 				for run < len(recs) && binary.LittleEndian.Uint32(recs[run+1:]) == pid {
 					run += eventWireSize

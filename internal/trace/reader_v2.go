@@ -23,8 +23,8 @@ import (
 // stream stands) is what turns any reordered, duplicated, or spliced
 // block into ErrCorrupt instead of silently misattributed events.
 func (d *Reader) readBlockHeader() (first uint64, bcount, clen int, crc uint32, err error) {
-	var hdr [blockHeaderSize]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
+	hdr := d.hdr[:] // a local array would escape through io.ReadFull
+	if _, err := io.ReadFull(d.br, hdr); err != nil {
 		// The file header declared more events, so running dry between
 		// blocks or inside a block header is a truncation.
 		return 0, 0, 0, 0, fmt.Errorf("trace: event %d: block header: %w", d.read, truncated(err))
@@ -48,12 +48,12 @@ func (d *Reader) readBlockHeader() (first uint64, bcount, clen int, crc uint32, 
 // loadBlock reads, checksums, and decodes one block payload into
 // d.pending: the events from the one the stream stands at (which can be
 // mid-block for segment readers) to the reader's logical end or the
-// block's, whichever comes first, whose PIDs keep accepts. A block that
-// the reader's range covers whole is decoded under keep, stepping over
-// rejected runs; a block the range enters or leaves inside — a segment
-// edge — is decoded whole and filtered by index, as a plain segment
-// reader decodes it.
-func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, keep func(pid uint32) bool) error {
+// block's, whichever comes first, whose PIDs k keeps. A block that the
+// reader's range covers whole is decoded under k, stepping over rejected
+// runs and projected range columns; a block the range enters or leaves
+// inside — a segment edge — is decoded whole and filtered by index, as a
+// plain segment reader decodes it.
+func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, k keeper) error {
 	if cap(d.buf) < clen {
 		d.buf = make([]byte, clen)
 	}
@@ -70,9 +70,9 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, keep func
 	d.pending, d.pendPos = d.pending[:bcount], 0
 	end := first + uint64(bcount)
 	whole := d.read == first && d.count >= end
-	blockKeep := keep
+	blockKeep := k
 	if !whole {
-		blockKeep = nil
+		blockKeep = keeper{}
 	}
 	n, err := decodeBlockPayload(payload, d.pending, first, &d.sc, blockKeep)
 	if err != nil {
@@ -87,7 +87,7 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, keep func
 	if !whole {
 		n = 0
 		for _, ev := range d.pending[d.read-first : end-first] {
-			if keep == nil || keep(ev.PID) {
+			if k.keeps(ev.PID) {
 				d.pending[n] = ev
 				n++
 			}
@@ -100,17 +100,17 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, keep func
 }
 
 // decodeBlock advances the stream to the next block and decodes it.
-func (d *Reader) decodeBlock(keep func(pid uint32) bool) error {
+func (d *Reader) decodeBlock(k keeper) error {
 	first, bcount, clen, crc, err := d.readBlockHeader()
 	if err != nil {
 		return err
 	}
-	return d.loadBlock(first, bcount, clen, crc, keep)
+	return d.loadBlock(first, bcount, clen, crc, k)
 }
 
 func (d *Reader) nextV2() (cpu.Event, error) {
 	if d.pendPos >= len(d.pending) {
-		if err := d.decodeBlock(nil); err != nil {
+		if err := d.decodeBlock(keeper{}); err != nil {
 			return cpu.Event{}, err
 		}
 	}
@@ -126,12 +126,12 @@ func (d *Reader) nextV2() (cpu.Event, error) {
 // the rejected ones, so it advances Offset past the block once the
 // block's last kept event is returned, and moves on from a block with no
 // kept events at once.
-func (d *Reader) nextBatchV2(dst []cpu.Event, keep func(pid uint32) bool) (int, error) {
+func (d *Reader) nextBatchV2(dst []cpu.Event, k keeper) (int, error) {
 	for d.pendPos >= len(d.pending) {
 		if d.read >= d.count {
 			return 0, io.EOF
 		}
-		if err := d.decodeBlock(keep); err != nil {
+		if err := d.decodeBlock(k); err != nil {
 			return 0, err
 		}
 		if len(d.pending) == 0 {
@@ -140,7 +140,7 @@ func (d *Reader) nextBatchV2(dst []cpu.Event, keep func(pid uint32) bool) (int, 
 	}
 	n := copy(dst, d.pending[d.pendPos:])
 	d.pendPos += n
-	if keep == nil {
+	if k.all() {
 		d.read += uint64(n)
 	} else if d.pendPos == len(d.pending) {
 		d.read = d.blockEnd
@@ -178,7 +178,7 @@ func (d *Reader) skipV2(n uint64) error {
 			d.nextBlock = first + uint64(bcount)
 			continue
 		}
-		if err := d.loadBlock(first, bcount, clen, crc, nil); err != nil {
+		if err := d.loadBlock(first, bcount, clen, crc, keeper{}); err != nil {
 			return fmt.Errorf("trace: skipping to event %d: %w", target, err)
 		}
 	}

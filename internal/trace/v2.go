@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cpu"
 )
@@ -242,23 +243,37 @@ func getUvarint(b []byte, i int) (uint64, int) {
 
 // decScratch is a block decoder's reusable working state: the decoded
 // PID dictionary, each entry's keep decision, the run column (rejected
-// runs coalesced), and the per-PID delta chains.
+// runs coalesced), the run list of the range columns, the PIDs kept
+// whole for their source registrations, and the per-PID delta chains.
 type decScratch struct {
-	pids  []uint32
-	kept  []bool
-	runs  []blockRun
-	seq   []uint64
-	start []int64
+	pids    []uint32
+	mode    []keepMode
+	runs    []blockRun
+	ranges  []blockRun
+	sources []uint32
+	seq     []uint64
+	start   []int64
 }
 
 // blockRun is one entry of a decoded run column: n consecutive events of
-// dictionary entry id, or, when skip is set, n consecutive events of
-// rejected PIDs, coalesced across runs because the decoder only steps
-// over them.
+// dictionary entry id, decoded into dst from index at, or, when skip is
+// set, n consecutive events the decoder only steps over (rejected runs,
+// and for the range columns also runs kept without ranges), coalesced.
 type blockRun struct {
 	id   uint16
 	skip bool
 	n    uint32
+	at   uint32
+}
+
+// appendSkip adds n stepped-over events to runs, coalescing them into
+// the last entry when that one is stepped over too.
+func appendSkip(runs []blockRun, n uint32) []blockRun {
+	if len(runs) > 0 && runs[len(runs)-1].skip {
+		runs[len(runs)-1].n += n
+		return runs
+	}
+	return append(runs, blockRun{skip: true, n: n})
 }
 
 // skipUvarints returns the index just past the n uvarints that start at
@@ -269,6 +284,17 @@ type blockRun struct {
 // the values checks them.
 func skipUvarints(b []byte, i, n int) int {
 	const hi = 0x8080808080808080
+	// While n is at least 32, the next 32 bytes hold at most n
+	// terminators, so all of them can be counted without a check for the
+	// n-th.
+	for n >= 32 && i >= 0 && i+32 <= len(b) {
+		w := b[i : i+32]
+		n -= bits.OnesCount64(^binary.LittleEndian.Uint64(w)&hi) +
+			bits.OnesCount64(^binary.LittleEndian.Uint64(w[8:])&hi) +
+			bits.OnesCount64(^binary.LittleEndian.Uint64(w[16:])&hi) +
+			bits.OnesCount64(^binary.LittleEndian.Uint64(w[24:])&hi)
+		i += 32
+	}
 	for n > 0 && i >= 0 && i+8 <= len(b) {
 		term := ^binary.LittleEndian.Uint64(b[i:]) & hi
 		t := bits.OnesCount64(term)
@@ -294,17 +320,18 @@ func skipUvarints(b []byte, i, n int) int {
 }
 
 // decodeBlockPayload decodes a verified (CRC-checked) block payload of
-// len(dst) events. With keep nil it decodes every event into dst; with a
-// keep predicate it decodes only the runs of PIDs keep accepts, packed
-// into the front of dst in stream order, and steps over the rest. It
-// returns how many events it wrote. first is the block's absolute first
-// event index, used only for error reporting. Every structural
+// len(dst) events. It decodes the runs of the PIDs k keeps, packed into
+// the front of dst in stream order, and steps over the rest; a plain
+// keeper decodes every event. A PID k keeps without ranges whose events
+// hold no source registration gets ProjectedRange instead of its range
+// columns. It returns how many events it wrote. first is the block's
+// absolute first event index, used only for error reporting. Every structural
 // impossibility — dictionary indexes out of range, runs not summing to
-// the count, trailing or missing bytes — and, for the events it decodes,
-// every accumulated range leaving uint32 is ErrCorrupt: the bytes
-// arrived intact-length and CRC-clean but cannot be a block this package
-// wrote.
-func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decScratch, keep func(pid uint32) bool) (int, error) {
+// the count, trailing or missing bytes — and, for the values it decodes,
+// every malformed varint and every accumulated range leaving uint32 is
+// ErrCorrupt: the bytes arrived intact-length and CRC-clean but cannot
+// be a block this package wrote.
+func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decScratch, k keeper) (int, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("trace: block at event %d: %w: %s", first, ErrCorrupt, what)
 	}
@@ -314,18 +341,20 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 	}
 	if cap(sc.pids) < int(ndict) {
 		sc.pids = make([]uint32, ndict)
-		sc.kept = make([]bool, ndict)
+		sc.mode = make([]keepMode, ndict)
 	}
-	pids, kept := sc.pids[:ndict], sc.kept[:ndict]
-	sc.pids, sc.kept = pids, kept
-	for k := range pids {
+	pids, mode := sc.pids[:ndict], sc.mode[:ndict]
+	sc.pids, sc.mode = pids, mode
+	projected := false
+	for e := range pids {
 		var v uint64
 		v, i = getUvarint(payload, i)
 		if i < 0 || v > 1<<32-1 {
 			return 0, corrupt("bad PID dictionary entry")
 		}
-		pids[k] = uint32(v)
-		kept[k] = keep == nil || keep(uint32(v))
+		pids[e] = uint32(v)
+		mode[e] = k.mode(uint32(v))
+		projected = projected || mode[e] == keepNoRanges
 	}
 	// The run column: kept runs fill in their events' PIDs, rejected
 	// neighbours coalesce into one step.
@@ -339,26 +368,37 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 			return 0, corrupt("bad PID run")
 		}
 		filled += int(n)
-		if !kept[id] {
-			if len(runs) > 0 && runs[len(runs)-1].skip {
-				runs[len(runs)-1].n += uint32(n)
-			} else {
-				runs = append(runs, blockRun{skip: true, n: uint32(n)})
-			}
+		if mode[id] == reject {
+			runs = appendSkip(runs, uint32(n))
 			continue
 		}
 		run := dst[out : out+int(n)]
 		pid := pids[id]
-		for k := range run {
-			run[k].PID = pid
+		if mode[id] == keepNoRanges {
+			// A run kept whole after all decodes its ranges over this.
+			for e := range run {
+				run[e].PID, run[e].Range = pid, ProjectedRange
+			}
+		} else {
+			for e := range run {
+				run[e].PID = pid
+			}
 		}
+		runs = append(runs, blockRun{id: uint16(id), n: uint32(n), at: uint32(out)})
 		out += int(n)
-		runs = append(runs, blockRun{id: uint16(id), n: uint32(n)})
 	}
 	sc.runs = runs
 	sc.seq = resetU64(sc.seq, int(ndict))
 	sc.start = resetI64(sc.start, int(ndict))
-	if i, what := decodeColumns(payload, i, runs, dst, sc.seq, sc.start); i < 0 {
+	sc.sources = sc.sources[:0]
+	i, what := decodeColumns(payload, i, 0, 2, runs, dst, sc)
+	if i >= 0 && projected {
+		runs = sc.rangeRuns(runs)
+	}
+	if i >= 0 {
+		i, what = decodeColumns(payload, i, 2, 4, runs, dst, sc)
+	}
+	if i < 0 {
 		return 0, corrupt(what)
 	} else if i != len(payload) {
 		return 0, corrupt("trailing bytes after the last column")
@@ -366,12 +406,45 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 	return out, nil
 }
 
-// decodeColumns decodes the four data columns, which follow one another
-// from payload[i], walking the runs once per column: a rejected run is
-// stepped over whole, and a kept run's slots of dst go to the column's
-// run decoder. The seq and range-start deltas chain per PID, so a run
-// continues its PID's chain (seq[id], start[id], zero at the block
-// start) and the chain is stored back at the run's end. It returns the
+// rangeRuns settles the keepNoRanges entries once the kind column is
+// decoded, with sc.sources holding the PIDs of the keepNoRanges runs that
+// register a source, and returns the run list of the two range columns.
+// Taint enters a process only through its own source registration, so a
+// PID with one among its events in the block is kept whole, in every
+// dictionary entry that names it. The other keepNoRanges runs are
+// stepped over, coalesced with their stepped-over neighbours.
+func (sc *decScratch) rangeRuns(runs []blockRun) []blockRun {
+	if len(sc.sources) > 0 {
+		slices.Sort(sc.sources)
+		for e, m := range sc.mode {
+			if m != keepNoRanges {
+				continue
+			}
+			if _, src := slices.BinarySearch(sc.sources, sc.pids[e]); src {
+				sc.mode[e] = keepWhole
+			}
+		}
+	}
+	ranges := sc.ranges[:0]
+	for _, r := range runs {
+		if r.skip || sc.mode[r.id] == keepNoRanges {
+			ranges = appendSkip(ranges, r.n)
+		} else {
+			ranges = append(ranges, r)
+		}
+	}
+	sc.ranges = ranges
+	return ranges
+}
+
+// decodeColumns decodes the data columns from through to-1 (0 kind/tag,
+// 1 seq, 2 range start, 3 range length), which follow one another from
+// payload[i], walking the runs once per column: a skip run is stepped
+// over whole, and a kept run's slots of dst go to the column's run
+// decoder. The seq and range-start deltas chain per PID, so a run
+// continues its PID's chain (sc.seq[id], sc.start[id], zero at the block
+// start) and the chain is stored back at the run's end. A keepNoRanges
+// run that registers a source adds its PID to sc.sources. It returns the
 // index past the last column, or -1 and what was wrong.
 //
 // A run decoder is a separate function so that its loop, like a flat
@@ -387,22 +460,25 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 // longer or payload-end varints taking the call. Each later branch is
 // only reached with the previous bytes' continuation bits set, so the
 // masks are exact.
-func decodeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, seq []uint64, start []int64) (int, string) {
-	for col, name := range [...]string{"kind/tag", "seq", "range-start", "range-length"} {
-		at := 0
+func decodeColumns(payload []byte, i, from, to int, runs []blockRun, dst []cpu.Event, sc *decScratch) (int, string) {
+	names := [...]string{"kind/tag", "seq", "range-start", "range-length"}
+	seq, start := sc.seq, sc.start
+	for col := from; col < to; col++ {
 		for _, r := range runs {
 			if r.skip {
 				if i = skipUvarints(payload, i, int(r.n)); i < 0 {
-					return -1, "bad " + name + " column"
+					return -1, "bad " + names[col] + " column"
 				}
 				continue
 			}
-			run := dst[at : at+int(r.n)]
-			at += len(run)
-			ok := true
+			run := dst[r.at : r.at+r.n]
+			ok, src := true, false
 			switch col {
 			case 0:
-				i = kindTagRun(payload, i, run)
+				i, src = kindTagRun(payload, i, run)
+				if src && sc.mode[r.id] == keepNoRanges {
+					sc.sources = append(sc.sources, sc.pids[r.id])
+				}
 			case 1:
 				i, seq[r.id] = seqRun(payload, i, run, seq[r.id])
 			case 2:
@@ -411,7 +487,7 @@ func decodeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, seq 
 				i, ok = lengthRun(payload, i, run)
 			}
 			if i < 0 {
-				return -1, "bad " + name + " column"
+				return -1, "bad " + names[col] + " column"
 			}
 			if !ok { // only the range columns check their values
 				if col == 2 {
@@ -424,7 +500,9 @@ func decodeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, seq 
 	return i, ""
 }
 
-func kindTagRun(payload []byte, i int, run []cpu.Event) int {
+// kindTagRun also reports whether the run holds a source registration.
+func kindTagRun(payload []byte, i int, run []cpu.Event) (int, bool) {
+	src := false
 	for k := range run {
 		var v uint64
 		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
@@ -437,12 +515,16 @@ func kindTagRun(payload []byte, i int, run []cpu.Event) int {
 			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
 			i += 3
 		} else if v, i = getUvarint(payload, i); i < 0 {
-			return -1
+			return -1, false
 		}
-		run[k].Kind = cpu.EventKind(v & 3)
+		kind := cpu.EventKind(v & 3)
+		if kind == cpu.EvSourceRegister {
+			src = true
+		}
+		run[k].Kind = kind
 		run[k].Tag = int(unzigzag(v >> 2))
 	}
-	return i
+	return i, src
 }
 
 func seqRun(payload []byte, i int, run []cpu.Event, seq uint64) (int, uint64) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/cpu"
@@ -377,48 +378,146 @@ func TestV2GoldenBytes(t *testing.T) {
 	}
 }
 
+// TestSkipUvarints holds skipUvarints to counting terminator bytes one
+// at a time, from every start and for every count, over random bytes
+// whose lengths cross its 32- and 8-byte strides.
+func TestSkipUvarints(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for trial := 0; trial < 60; trial++ {
+		b := make([]byte, rng.IntN(130))
+		cont := rng.IntN(4) // continuation bytes in four: 0 is all one-byte varints
+		for k := range b {
+			b[k] = byte(rng.IntN(128))
+			if rng.IntN(4) < cont {
+				b[k] |= 0x80
+			}
+		}
+		for i := 0; i <= len(b); i++ {
+			for n := 0; n <= len(b)-i+1; n++ {
+				want, left := i, n
+				for ; left > 0 && want < len(b); want++ {
+					if b[want] < 0x80 {
+						left--
+					}
+				}
+				if left > 0 {
+					want = -1
+				}
+				if got := skipUvarints(b, i, n); got != want {
+					t.Fatalf("skipUvarints(%x, %d, %d) = %d, want %d", b, i, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// quietTrace is uniformTrace with every source registration turned into
+// a load, so a projected read keeps no PID whole for its sources.
+func quietTrace(n int) *Recorder {
+	r := uniformTrace(n)
+	for i := range r.Events {
+		if r.Events[i].Kind == cpu.EvSourceRegister {
+			r.Events[i].Kind = cpu.EvLoad
+		}
+	}
+	return r
+}
+
+// evenPIDs keeps the even PIDs: a 2-worker shard's share.
+func evenPIDs(pid uint32) bool { return pid%2 == 0 }
+
+// anyPID lets a projected read leave out the ranges of every kept PID.
+func anyPID(uint32) bool { return true }
+
 // TestV2NextBatchAllocationFree is the v2 steady-state gate: after the
 // first blocks size the scratch buffers, batched decode of a uniform
-// stream allocates nothing — including across block boundaries, and
-// including a filtered read that keeps half the PIDs and steps over the
-// other half's runs.
+// stream allocates nothing — including across block boundaries, including
+// a filtered read that keeps half the PIDs and steps over the other
+// half's runs, and including a projected read of those PIDs, both where
+// it steps over their range columns and where their source registrations
+// keep them whole.
 func TestV2NextBatchAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		blocks int
-		keep   func(pid uint32) bool
+		name           string
+		rec            func(n int) *Recorder
+		blocks         int
+		keep, noRanges func(pid uint32) bool
 	}{
-		{"plain", 40, nil},
+		{"plain", uniformTrace, 40, nil, nil},
 		// A filtered call returns at most a block's kept events, so
 		// 300 calls need more blocks.
-		{"keep-half", 80, func(pid uint32) bool { return pid%2 == 0 }},
+		{"keep-half", uniformTrace, 80, evenPIDs, nil},
+		{"project-half", quietTrace, 80, evenPIDs, anyPID},
+		{"project-half-sources", uniformTrace, 80, evenPIDs, anyPID},
 	} {
-		orig := uniformTrace(tc.blocks * DefaultBlockEvents)
+		orig := tc.rec(tc.blocks * DefaultBlockEvents)
 		data := encodeFormat(t, orig, FormatV2)
 		sr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]cpu.Event, 256)
-		// Warm through two full blocks so every scratch is at steady size.
-		for sr.Offset() < 2*DefaultBlockEvents {
-			if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil {
+		read := func() {
+			var err error
+			if tc.noRanges != nil {
+				_, err = sr.NextBatchProject(dst, tc.keep, tc.noRanges)
+			} else {
+				_, err = sr.NextBatchKeep(dst, tc.keep)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := testing.AllocsPerRun(300, func() {
-			if _, err := sr.NextBatchKeep(dst, tc.keep); err != nil {
-				t.Fatal(err)
+		// Warm through two full blocks so every scratch is at steady size.
+		for sr.Offset() < 2*DefaultBlockEvents {
+			read()
+		}
+		if n := testing.AllocsPerRun(300, read); n != 0 {
+			t.Errorf("%s: v2 NextBatch allocates %v times per call", tc.name, n)
+		}
+		// AllocsPerRun divides by the runs in integers, so a run of one
+		// call cannot see an allocation made once per block; 16 calls
+		// span at least one block.
+		if n := testing.AllocsPerRun(10, func() {
+			for range 16 {
+				read()
 			}
 		}); n != 0 {
-			t.Errorf("%s: v2 NextBatch allocates %v times per call", tc.name, n)
+			t.Errorf("%s: v2 NextBatch allocates %v times per 16 calls", tc.name, n)
 		}
 	}
 }
 
+// scanTrace is a clean trace shaped like the scan workload's: 64 PIDs
+// switching every 64 events, no source registrations, a sink check in
+// about one event of 512, and 1–16-byte ranges scattered over a 64 KiB
+// arena, so that most range-start deltas take three bytes.
+func scanTrace(n int) *Recorder {
+	rng := rand.New(rand.NewPCG(2101, 64))
+	r := NewRecorder(n)
+	var seq [65]uint64
+	sinks := 0
+	for i := 0; i < n; i++ {
+		pid := uint32(1 + (i/64)%64)
+		seq[pid] += 1 + rng.Uint64N(4)
+		ev := cpu.Event{Kind: cpu.EventKind(rng.IntN(2)), PID: pid, Seq: seq[pid]}
+		if rng.IntN(512) == 0 {
+			sinks++
+			ev.Kind, ev.Tag = cpu.EvSinkCheck, sinks
+		}
+		start := uint32(0x10000 + rng.IntN(1<<16))
+		ev.Range = mem.Range{Start: start, End: start + uint32(rng.IntN(16))}
+		r.Event(ev)
+	}
+	return r
+}
+
 // BenchmarkReaderV2NextBatch measures v2 batched decode against the same
 // uniform corpus serialized as v1, for a like-for-like events/sec
-// comparison (`go test -bench V2NextBatch -benchtime ...`).
+// comparison (`go test -bench V2NextBatch -benchtime ...`). The
+// keep-half and project-half cases read a scan-shaped corpus as one of
+// two DrainTrace shards does, keeping half the PIDs whole or without
+// their ranges; their ns/event is per corpus event.
 func BenchmarkReaderV2NextBatch(b *testing.B) {
 	orig := uniformTrace(100000)
 	for _, f := range []Format{FormatV1, FormatV2} {
@@ -446,6 +545,35 @@ func BenchmarkReaderV2NextBatch(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+	scan := encodeFormat(b, scanTrace(1<<20), FormatV2)
+	for _, tc := range []struct {
+		name     string
+		noRanges func(pid uint32) bool
+	}{
+		{"keep-half", nil},
+		{"project-half", anyPID},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(scan)))
+			dst := make([]cpu.Event, 256)
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				sr, err := NewReader(bytes.NewReader(scan))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for err == nil {
+					_, err = sr.NextBatchProject(dst, evenPIDs, tc.noRanges)
+				}
+				if err != io.EOF {
+					b.Fatal(err)
+				}
+				events += sr.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})
 	}
 }
