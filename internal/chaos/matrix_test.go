@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/eval"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -19,9 +20,11 @@ import (
 
 // The chaos CI matrix runs one (seed, mode) cell per job via these flags;
 // with neither flag set, TestChaosMatrix runs the full matrix as
-// subtests. Every cell attacks both ingest paths: the push path (one
-// dispatcher goroutine behind a faulted sequential reader) and the
-// shard-owned path (per-segment readers over a faulted ReaderAt).
+// subtests. Every cell attacks both ingest paths: push cells push the
+// stream into the dispatcher (an ingest loop feeding EventBatch from a
+// faulted sequential reader and checkpointing through WriteCheckpoint),
+// and shard-owned cells run DrainTrace (per-segment readers over a
+// faulted ReaderAt).
 var (
 	flagSeed = flag.Int64("chaos.seed", 0, "run only this seed of the chaos matrix (0 = all)")
 	flagMode = flag.String("chaos.mode", "", "run only this fault mode: torn-read, corrupt-record, worker-panic ('' = all)")
@@ -72,16 +75,50 @@ func resultKey(res pipeline.Result) string {
 	return fmt.Sprintf("%#v|%#v|%d", res.Stats, res.Verdicts, res.Events)
 }
 
-// cleanRun drains the serialized workload through an unfaulted pipeline.
+// dispatch feeds src into p the way an ingest loop does: NextBatch into
+// one buffer, then EventBatch. With ckpt non-nil each batch is capped at
+// the next checkpointEvery multiple of the stream, and ckpt runs at every
+// multiple. It returns the first decode or checkpoint error, or nil at
+// the stream's end, and leaves p open.
+func dispatch(p *pipeline.Pipeline, src *trace.Reader, ckpt func(*pipeline.Pipeline) error) error {
+	buf := make([]cpu.Event, matrixBatch)
+	for {
+		limit := uint64(len(buf))
+		if ckpt != nil {
+			limit = min(limit, checkpointEvery-p.Offset()%checkpointEvery)
+		}
+		n, err := src.NextBatch(buf[:limit])
+		p.EventBatch(buf[:n])
+		if ckpt != nil && n > 0 && p.Offset()%checkpointEvery == 0 {
+			if cerr := ckpt(p); cerr != nil {
+				return cerr
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// cleanRun feeds the serialized workload through an unfaulted pipeline's
+// dispatcher.
 func cleanRun(t *testing.T, raw []byte) pipeline.Result {
 	t.Helper()
 	src, err := trace.NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.New(pipeline.Options{
+	p := pipeline.New(pipeline.Options{
 		Workers: matrixWorkers, BatchSize: matrixBatch, Config: matrixCfg,
-	}).Drain(context.Background(), src)
+	})
+	err = dispatch(p, src, nil)
+	res := p.Close()
+	if err == nil {
+		err = res.Err
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +198,20 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 	// shard has faulted, so lastGood can only hold states the clean
 	// execution passes through.
 	var lastGood []byte
+	var saved []uint64 // offsets at which save was called
+	save := func(p *pipeline.Pipeline) error {
+		saved = append(saved, p.Offset())
+		var buf bytes.Buffer
+		if _, err := p.WriteCheckpoint(&buf); err != nil {
+			return err
+		}
+		lastGood = buf.Bytes()
+		return nil
+	}
 	opts := pipeline.Options{
 		Workers: matrixWorkers, BatchSize: matrixBatch, Config: matrixCfg,
 		CheckpointEvery: checkpointEvery,
-		OnCheckpoint: func(p *pipeline.Pipeline) error {
-			var buf bytes.Buffer
-			if _, err := p.WriteCheckpoint(&buf); err != nil {
-				return err
-			}
-			lastGood = buf.Bytes()
-			return nil
-		},
+		OnCheckpoint:    save,
 	}
 
 	v2 := bytes.HasPrefix(raw, []byte("PIFTTRC2"))
@@ -218,7 +258,11 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		_, err = pipeline.New(opts).Drain(context.Background(), src)
+		p := pipeline.New(opts)
+		err = dispatch(p, src, save)
+		if res := p.Close(); err == nil {
+			err = res.Err
+		}
 	case "shard-owned":
 		ra := io.ReaderAt(bytes.NewReader(raw))
 		if mode != "worker-panic" {
@@ -232,6 +276,11 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 		t.Fatalf("seed %d: %s fault never fired — the cell proved nothing", seed, mode)
 	}
 	t.Logf("seed %d: faulted %s run died as scheduled: %v", seed, path, err)
+	for i, off := range saved {
+		if want := uint64(i+1) * checkpointEvery; off != want {
+			t.Fatalf("seed %d: checkpoint %d at offset %d, want %d", seed, i, off, want)
+		}
+	}
 
 	// The recovery: restore the last good checkpoint (or start from
 	// scratch if the fault struck before the first boundary) and drain
@@ -257,9 +306,13 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 		if err := cleanSrc.Skip(resumed.Offset()); err != nil {
 			t.Fatalf("seed %d: Skip(%d): %v", seed, resumed.Offset(), err)
 		}
-		res, err = resumed.Drain(context.Background(), cleanSrc)
+		err = dispatch(resumed, cleanSrc, nil)
+		res = resumed.Close()
+		if err == nil {
+			err = res.Err
+		}
 		if err != nil {
-			t.Fatalf("seed %d: resumed drain: %v", seed, err)
+			t.Fatalf("seed %d: resumed dispatch: %v", seed, err)
 		}
 	} else {
 		// The shard-owned planner starts at the restored offset itself.
@@ -278,10 +331,10 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 // across ingest paths: a shard that fails permanently mid-run must yield
 // the same merged Result — stats, verdicts, event count — and the same
 // fault report (worker, restarts spent, failed flag, dropped events)
-// whether the stream arrived through the dispatcher or through
-// shard-owned readers. Only DroppedBatches may differ: batch geometry is
-// a path implementation detail, while every dropped event is the same
-// suffix of the failed shard's subsequence.
+// whether the stream arrived through the dispatcher's ingest loop or
+// through DrainTrace's shard-owned readers. Only DroppedBatches may
+// differ: batch geometry is a path implementation detail, while every
+// dropped event is the same suffix of the failed shard's subsequence.
 func TestChaosDegradationParity(t *testing.T) {
 	raw, err := matrixWorkload()
 	if err != nil {
@@ -308,7 +361,11 @@ func TestChaosDegradationParity(t *testing.T) {
 					if rerr != nil {
 						t.Fatal(rerr)
 					}
-					res, err = pipeline.New(opts).Drain(context.Background(), src)
+					p := pipeline.New(opts)
+					err = dispatch(p, src, nil)
+					if res = p.Close(); err == nil {
+						err = res.Err
+					}
 				} else {
 					res, err = pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(raw))
 				}

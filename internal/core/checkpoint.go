@@ -36,12 +36,15 @@ import (
 var snapshotMagic = [8]byte{'P', 'I', 'F', 'T', 'S', 'N', 'P', '1'}
 
 // Per-section sanity caps, in the spirit of the trace reader's: a corrupt
-// count must fail fast instead of provoking a giant allocation.
+// count beyond them fails fast. A count within them is still only a
+// claim, so it sizes no allocation beyond snapMaxHint entries; the rest
+// grows with the entries actually read.
 const (
 	snapMaxWindows  = 1 << 24
 	snapMaxPIDs     = 1 << 24
 	snapMaxRanges   = 1 << 26
 	snapMaxVerdicts = 1 << 26
+	snapMaxHint     = 1024
 )
 
 // WriteSnapshot serializes the tracker's complete analysis state. It
@@ -149,7 +152,7 @@ func ReadSnapshot(r io.Reader) (*Tracker, error) {
 	if cr.err == nil && nwin > snapMaxWindows {
 		return nil, fmt.Errorf("core: snapshot declares %d windows", nwin)
 	}
-	windows := make(map[uint32]*window, nwin)
+	windows := make(map[uint32]*window, min(nwin, snapMaxHint))
 	var prevPID uint32
 	for i := uint32(0); i < nwin && cr.err == nil; i++ {
 		pid := cr.u32()
@@ -191,7 +194,7 @@ func ReadSnapshot(r io.Reader) (*Tracker, error) {
 	}
 	var verdicts []SinkVerdict
 	if cr.err == nil && nv > 0 {
-		verdicts = make([]SinkVerdict, 0, nv)
+		verdicts = make([]SinkVerdict, 0, min(nv, snapMaxHint))
 	}
 	for i := uint32(0); i < nv && cr.err == nil; i++ {
 		verdicts = append(verdicts, SinkVerdict{

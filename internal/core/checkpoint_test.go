@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
@@ -143,6 +146,58 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 	if _, err := ReadSnapshot(bytes.NewReader(full[:len(full)-1])); err == nil {
 		t.Fatal("one-byte truncation accepted")
+	}
+}
+
+// claimSnapshot returns an empty tracker's snapshot cut right after one
+// section's entry count, with that count set to n: a snapshot that claims
+// n entries and holds none. In an empty snapshot the windows count sits
+// 12 bytes before the end and the verdicts count 4.
+func claimSnapshot(t testing.TB, fromEnd int, n uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := NewTracker(snapCfg, nil).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.AppendUint32(buf.Bytes()[:buf.Len()-fromEnd], n)
+}
+
+// allocatedBy reports the heap bytes allocated while f runs.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadSnapshotClaimedWindows: a 101-byte snapshot that claims the
+// most windows a snapshot may hold fails as truncated, without sizing a
+// map for the windows it claims.
+func TestReadSnapshotClaimedWindows(t *testing.T) {
+	snap := claimSnapshot(t, 12, snapMaxWindows)
+	var err error
+	alloc := allocatedBy(func() { _, err = ReadSnapshot(bytes.NewReader(snap)) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("%d-byte snapshot: err = %v, want unexpected EOF", len(snap), err)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("%d-byte snapshot claiming %d windows allocated %d bytes", len(snap), snapMaxWindows, alloc)
+	}
+}
+
+// TestReadSnapshotClaimedVerdicts: a 109-byte snapshot that claims the
+// most verdicts a snapshot may hold fails as truncated, without sizing a
+// slice for the verdicts it claims.
+func TestReadSnapshotClaimedVerdicts(t *testing.T) {
+	snap := claimSnapshot(t, 4, snapMaxVerdicts)
+	var err error
+	alloc := allocatedBy(func() { _, err = ReadSnapshot(bytes.NewReader(snap)) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("%d-byte snapshot: err = %v, want unexpected EOF", len(snap), err)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("%d-byte snapshot claiming %d verdicts allocated %d bytes", len(snap), snapMaxVerdicts, alloc)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/trace/tracegen"
 )
 
 // Fuzz input layout for FuzzTrackerEventBatch: one config byte, then four
@@ -87,4 +89,47 @@ func FuzzTrackerEventBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// FuzzReadSnapshot decodes arbitrary bytes as a tracker snapshot. The
+// decoder must never panic, and a decode that succeeds must be canonical
+// after one round trip: re-encode the decoded tracker, decode and encode
+// that once more, and the two encodings must be equal. Seeds are
+// snapshots of a tracker at several cuts of a taint-dense trace, plus
+// snapshots that claim far more windows or verdicts than they hold.
+func FuzzReadSnapshot(f *testing.F) {
+	rec := tracegen.Generate(tracegen.Spec{Seed: 5, Events: 4096, PIDs: 4, SourceEvery: 64, SinkEvery: 64})
+	tr := NewTracker(snapCfg, nil)
+	done := 0
+	for _, cut := range []int{0, 100, 1000, 4096} {
+		feed(tr, rec.Events[done:cut])
+		done = cut
+		f.Add(encodeSnapshot(f, tr))
+	}
+	f.Add(claimSnapshot(f, 12, snapMaxWindows))
+	f.Add(claimSnapshot(f, 4, snapMaxVerdicts))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once := encodeSnapshot(t, tr)
+		again, err := ReadSnapshot(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if twice := encodeSnapshot(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("encoding not canonical after a round trip:\n once %x\ntwice %x", once, twice)
+		}
+	})
+}
+
+// encodeSnapshot returns tr's snapshot bytes.
+func encodeSnapshot(t testing.TB, tr *Tracker) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -3,8 +3,8 @@ package eval
 // Machine-readable pipeline benchmark artifact: the parity and scaling
 // experiments of pipeline.go re-run with an instrumented registry, so CI
 // can archive one JSON file holding both the experiment tables and the
-// full metrics snapshot of the push-path suite sweep (queue depths and
-// stall counts, which only the push path has, and batch latency
+// full metrics snapshot of the dispatcher's suite sweep (queue depths and
+// stall counts, which only the dispatcher has, and batch latency
 // histograms) behind them.
 
 import (
@@ -167,7 +167,7 @@ func PipelineBench(h *Harness, cfg core.Config, workerCounts []int, quantum, rep
 // SyntheticScaling times the shard-owned ingest (Pipeline.DrainTrace)
 // over a seeded tracegen corpus, serialized in format f, at each worker
 // count. Unlike PipelineScaling — which replays an in-memory recorder
-// through the single-dispatcher push path — this sweep starts from
+// through the single dispatcher (Event) — this sweep starts from
 // serialized bytes and measures the whole ingest, not just the analysis:
 // every worker reads the whole trace and keeps its own PIDs' events, so
 // the analysis and the decoding of kept events split across workers,

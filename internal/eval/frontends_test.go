@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/droidbench"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 )
 
 // TestStackVMExperiment runs the -exp stackvm analysis end to end and
@@ -68,9 +67,9 @@ func TestStackVMExperiment(t *testing.T) {
 
 // TestStackVMPipelineParity is the cross-frontend pipeline parity gate:
 // stack-VM traces must flow through the concurrent pipeline — via the
-// in-process sink, the streaming Drain reader, and the shard-owned
-// DrainTrace planner — byte-identically to the sequential tracker at
-// every worker count.
+// dispatcher (Event, as an in-process sink) and the shard-owned
+// DrainTrace over the serialized trace — byte-identically to the
+// sequential tracker at every worker count.
 func TestStackVMPipelineParity(t *testing.T) {
 	h := NewHarnessSuite(3, droidbench.StackVMSuite())
 	workers := []int{1, 2, 4, 8}
@@ -104,18 +103,7 @@ func TestStackVMPipelineParity(t *testing.T) {
 
 		for _, n := range workers {
 			opts := pipeline.Options{Workers: n, Config: PaperConfig}
-			sr, err := trace.NewReader(bytes.NewReader(wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := pipeline.New(opts).Drain(context.Background(), sr)
-			if err != nil {
-				t.Fatalf("%s @ %d workers: Drain: %v", a.Name, n, err)
-			}
-			if got := fmt.Sprintf("%#v|%#v", res.Stats, res.Verdicts); got != want {
-				t.Errorf("%s @ %d workers: Drain diverges from sequential tracker", a.Name, n)
-			}
-			res, err = pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(wire))
+			res, err := pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(wire))
 			if err != nil {
 				t.Fatalf("%s @ %d workers: DrainTrace: %v", a.Name, n, err)
 			}

@@ -55,7 +55,7 @@ func TestBatchPathRestartContract(t *testing.T) {
 		for _, maxRestarts := range []int{0, 1, 2} {
 			t.Run(fmt.Sprintf("workers=%d/restarts=%d", workers, maxRestarts), func(t *testing.T) {
 				run := func(obs func(int, cpu.Event)) pipeline.Result {
-					res, _ := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+					return runEvents(evs, pipeline.Options{
 						Workers:     workers,
 						BatchSize:   64,
 						Config:      testCfg,
@@ -63,7 +63,6 @@ func TestBatchPathRestartContract(t *testing.T) {
 						NewStore:    func() core.Store { return poisonStore{core.NewIdealStore()} },
 						Observer:    obs,
 					})
-					return res
 				}
 				batch := run(nil)
 				perEvent := run(func(int, cpu.Event) {})

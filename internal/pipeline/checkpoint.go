@@ -33,7 +33,7 @@ import (
 var ckptMagic = [8]byte{'P', 'I', 'F', 'T', 'C', 'K', 'P', '1'}
 
 // ckptMaxPayload caps the declared payload size (1 GiB) so a corrupt
-// length field fails fast instead of provoking a giant allocation.
+// length field fails before anything is read.
 const ckptMaxPayload = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -92,18 +92,16 @@ func (p *Pipeline) WriteCheckpoint(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Restore rebuilds a pipeline from a checkpoint and starts its workers.
-// The worker count and tracker configuration are authoritative in the
-// checkpoint; opts may leave them zero, and explicitly conflicting values
-// are an error (resuming under different parameters would break the
-// resume-equals-uninterrupted guarantee). NewStore must be nil — the
-// snapshot codec restores the unbounded IdealStore. Feed the restored
-// pipeline the stream from Offset() onward (trace.Reader.Skip) and the
-// merged result is byte-identical to an uninterrupted run.
+// Restore decodes a checkpoint into one tracker per shard and returns
+// NewSeeded over them at the checkpoint's offset. The worker count and
+// tracker configuration are authoritative in the checkpoint; opts may
+// leave them zero, and conflicting values are an error (resuming under
+// different parameters would break the resume-equals-uninterrupted
+// guarantee). NewStore must be nil — the snapshot codec restores the
+// unbounded IdealStore. Resume with DrainTrace on the same bytes, or Skip
+// the stream to Offset() and feed the rest through EventBatch; either way
+// the merged result is byte-identical to an uninterrupted run.
 func Restore(r io.Reader, opts Options) (*Pipeline, error) {
-	if opts.NewStore != nil {
-		return nil, fmt.Errorf("pipeline: restore supports only the ideal store (NewStore must be nil)")
-	}
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint magic: %w", unexpectEOF(err))
@@ -119,9 +117,13 @@ func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 	if length > ckptMaxPayload {
 		return nil, fmt.Errorf("pipeline: implausible checkpoint payload %d bytes", length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("pipeline: checkpoint payload: %w", unexpectEOF(err))
+	// The buffer grows with the bytes that arrive, not the length claimed.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(len(payload)) < length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint payload: %w", err)
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
@@ -143,10 +145,6 @@ func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 	if workers < 1 || workers > 1<<16 {
 		return nil, fmt.Errorf("pipeline: implausible checkpoint worker count %d", workers)
 	}
-	if opts.Workers > 0 && opts.Workers != int(workers) {
-		return nil, fmt.Errorf("pipeline: checkpoint has %d workers, options demand %d", workers, opts.Workers)
-	}
-
 	trackers := make([]*core.Tracker, workers)
 	for i := range trackers {
 		var snapLen uint64
@@ -162,25 +160,7 @@ func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 		}
 		trackers[i] = tr
 	}
-	cfg := trackers[0].Config()
-	for i, tr := range trackers {
-		if tr.Config() != cfg {
-			return nil, fmt.Errorf("pipeline: checkpoint shard %d config %v differs from shard 0's %v", i, tr.Config(), cfg)
-		}
-	}
-	if opts.Config != (core.Config{}) && opts.Config != cfg {
-		return nil, fmt.Errorf("pipeline: checkpoint config %v, options demand %v", cfg, opts.Config)
-	}
-
-	opts.Workers = int(workers)
-	opts.Config = cfg
-	opts = opts.withDefaults()
-	p := newShell(opts)
-	for i, tr := range trackers {
-		p.start(i, tr)
-	}
-	p.events = events
-	return p, nil
+	return NewSeeded(opts, trackers, events)
 }
 
 // unexpectEOF normalizes a clean-EOF short read into the truncation error

@@ -2,7 +2,11 @@ package pipeline_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -198,4 +202,21 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+}
+
+// TestRestoreClaimedPayload: a bare 16-byte checkpoint header that claims
+// a 1 GiB payload fails as truncated, without allocating the payload it
+// claims.
+func TestRestoreClaimedPayload(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint64([]byte("PIFTCKP1"), 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := pipeline.Restore(bytes.NewReader(hdr), pipeline.Options{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want unexpected EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("16-byte checkpoint claiming 1 GiB allocated %d bytes", alloc)
+	}
 }

@@ -19,7 +19,7 @@ func TestRestartWithinBudget(t *testing.T) {
 	want, _ := sequentialOracle(evs, testCfg)
 
 	var seen uint64
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+	res := runEvents(evs, pipeline.Options{
 		Workers:     2,
 		BatchSize:   64,
 		Config:      testCfg,
@@ -31,8 +31,8 @@ func TestRestartWithinBudget(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatalf("Run failed despite restart budget: %v", err)
+	if res.Err != nil {
+		t.Fatalf("run failed despite restart budget: %v", res.Err)
 	}
 	if res.Degraded {
 		t.Fatal("run marked degraded after an in-budget restart")
@@ -76,7 +76,7 @@ func TestRestartBudgetExhausted(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	all := append(append([]cpu.Event(nil), poison...), evs...)
-	res, err := pipeline.Run(&sliceSource{evs: all}, pipeline.Options{
+	res := runEvents(all, pipeline.Options{
 		Workers:     workers,
 		BatchSize:   32,
 		Config:      testCfg,
@@ -88,7 +88,7 @@ func TestRestartBudgetExhausted(t *testing.T) {
 			}
 		},
 	})
-	if err == nil || res.Err == nil {
+	if res.Err == nil {
 		t.Fatal("exhausted restart budget must surface as an error")
 	}
 	if !res.Degraded {

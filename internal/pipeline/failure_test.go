@@ -1,9 +1,6 @@
 package pipeline_test
 
 import (
-	"context"
-	"errors"
-	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,29 +12,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// sliceSource adapts an event slice to pipeline.EventSource.
-type sliceSource struct {
-	evs []cpu.Event
-	i   int
-}
-
-func (s *sliceSource) Next() (cpu.Event, error) {
-	if s.i >= len(s.evs) {
-		return cpu.Event{}, io.EOF
-	}
-	ev := s.evs[s.i]
-	s.i++
-	return ev, nil
+// runEvents feeds evs through a fresh pipeline's dispatcher and closes it.
+func runEvents(evs []cpu.Event, opts pipeline.Options) pipeline.Result {
+	p := pipeline.New(opts)
+	p.EventBatch(evs)
+	return p.Close()
 }
 
 // TestWorkerPanicReported drives far more events than the worker queues
 // can hold through a pipeline whose observer panics early. The panic must
 // not hang the dispatcher (the poisoned worker keeps draining) and must
-// surface as an error from Run and in Result.Err, not as a process crash.
+// surface in Result.Err, not as a process crash.
 func TestWorkerPanicReported(t *testing.T) {
 	evs := syntheticStream(100_000, 1, 11) // one PID: every event hits the poisoned worker
 	var n atomic.Uint64
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+	res := runEvents(evs, pipeline.Options{
 		Workers:    2,
 		BatchSize:  64,
 		QueueDepth: 2,
@@ -48,9 +37,6 @@ func TestWorkerPanicReported(t *testing.T) {
 			}
 		},
 	})
-	if err == nil {
-		t.Fatal("Run returned nil error after a worker panic")
-	}
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "injected failure") ||
 		!strings.Contains(res.Err.Error(), "panicked") {
 		t.Fatalf("Result.Err = %v, want worker panic report", res.Err)
@@ -75,7 +61,7 @@ func TestWorkerPanicKeepsHealthyShards(t *testing.T) {
 	seq, wantVerdicts := sequentialOracle(evs, testCfg)
 
 	all := append([]cpu.Event{poison}, evs...)
-	res, err := pipeline.Run(&sliceSource{evs: all}, pipeline.Options{
+	res := runEvents(all, pipeline.Options{
 		Workers: workers,
 		Config:  testCfg,
 		Observer: func(worker int, ev cpu.Event) {
@@ -84,7 +70,7 @@ func TestWorkerPanicKeepsHealthyShards(t *testing.T) {
 			}
 		},
 	})
-	if err == nil || res.Err == nil {
+	if res.Err == nil {
 		t.Fatal("expected the poisoned shard's panic to be reported")
 	}
 	// The healthy shard's results must be complete and correct.
@@ -93,59 +79,6 @@ func TestWorkerPanicKeepsHealthyShards(t *testing.T) {
 	}
 	if len(res.Verdicts) != len(wantVerdicts) {
 		t.Fatalf("healthy shard verdicts lost: %d, want %d", len(res.Verdicts), len(wantVerdicts))
-	}
-}
-
-// endlessSource produces events forever; only cancellation can stop a
-// Run over it.
-type endlessSource struct {
-	seq    uint64
-	cancel func()
-	after  uint64
-}
-
-func (s *endlessSource) Next() (cpu.Event, error) {
-	s.seq++
-	if s.cancel != nil && s.seq == s.after {
-		s.cancel()
-	}
-	return cpu.Event{Kind: cpu.EvLoad, PID: 1, Seq: s.seq,
-		Range: mem.MakeRange(mem.Addr(s.seq%4096), 4)}, nil
-}
-
-// TestRunContextCancellation: RunContext must return promptly with the
-// context's error once it is canceled, releasing all worker goroutines,
-// even though the source never ends.
-func TestRunContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	src := &endlessSource{cancel: cancel, after: 50_000}
-	done := make(chan error, 1)
-	go func() {
-		_, err := pipeline.RunContext(ctx, src, pipeline.Options{Workers: 2, Config: testCfg})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext error = %v, want context.Canceled", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunContext did not honor cancellation")
-	}
-}
-
-// TestRunContextPreCanceled: an already-canceled context stops the run
-// before any event is consumed.
-func TestRunContextPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	src := &endlessSource{}
-	_, err := pipeline.RunContext(ctx, src, pipeline.Options{Workers: 1, Config: testCfg})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if src.seq != 0 {
-		t.Fatalf("source consumed %d events under a dead context", src.seq)
 	}
 }
 
@@ -185,7 +118,7 @@ func TestMetricsConsistentUnderLoad(t *testing.T) {
 		}
 	}()
 
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+	res := runEvents(evs, pipeline.Options{
 		Workers:    workers,
 		BatchSize:  batch,
 		QueueDepth: queueDepth,
@@ -199,8 +132,8 @@ func TestMetricsConsistentUnderLoad(t *testing.T) {
 	})
 	close(stop)
 	peak := <-sampled
-	if err != nil {
-		t.Fatal(err)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	// Every batch dispatched was fully analyzed: depth is back to zero.

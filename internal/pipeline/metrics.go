@@ -7,18 +7,18 @@ import "repro/internal/metrics"
 // mutations are nil-receiver-safe.
 type PipelineMetrics struct {
 	// EventsDispatched and BatchesDispatched count the producer side:
-	// each dispatched batch on the push path, each batch a worker
-	// decodes for itself under DrainTrace.
+	// each batch the dispatcher sends (Event/EventBatch), each batch a
+	// worker decodes for itself under DrainTrace.
 	EventsDispatched  *metrics.Counter
 	BatchesDispatched *metrics.Counter
 	// QueueDepth is the number of batches currently sitting in worker
 	// channels: incremented at dispatch, decremented after a worker
-	// finishes a batch. QueueDepthHigh is its high-water mark. Push path
+	// finishes a batch. QueueDepthHigh is its high-water mark. Dispatcher
 	// only: DrainTrace hands no batches between goroutines.
 	QueueDepth     *metrics.Gauge
 	QueueDepthHigh *metrics.Gauge
 	// Stalls counts dispatcher sends that found the worker queue full —
-	// each one is a backpressure block on the producer. Push path only.
+	// each one is a backpressure block on the producer. Dispatcher only.
 	Stalls *metrics.Counter
 	// BatchSeconds is the per-batch analysis latency on the worker
 	// (receive-to-done), and BatchEvents the batch-size distribution.

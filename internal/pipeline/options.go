@@ -55,10 +55,11 @@ type Options struct {
 	// Result comes back Degraded instead of the run hanging or losing
 	// everything. 0 — the default — fails a shard on its first panic.
 	MaxRestarts int
-	// CheckpointEvery asks Drain/RunContext to quiesce the pipeline and
-	// invoke OnCheckpoint every that many dispatched events (counted from
-	// stream start, so a resumed run keeps the original cadence). 0
-	// disables periodic checkpoints.
+	// CheckpointEvery asks DrainTrace to quiesce the pipeline and invoke
+	// OnCheckpoint every that many events (counted from stream start, so
+	// a resumed run keeps the original cadence). 0 disables periodic
+	// checkpoints. A producer feeding Event/EventBatch owns its own
+	// cadence: it calls WriteCheckpoint where it wants one.
 	CheckpointEvery uint64
 	// OnCheckpoint receives the quiesced pipeline at each checkpoint
 	// boundary; it typically calls WriteCheckpoint into durable storage.

@@ -62,8 +62,8 @@ func New(opts Options) *Pipeline {
 }
 
 // newShell allocates the pipeline chassis — metrics, pool, per-worker
-// slots — without starting workers; New and Restore differ only in where
-// each worker's tracker comes from.
+// slots — without starting workers; New and NewSeeded differ only in
+// where each worker's tracker comes from.
 func newShell(opts Options) *Pipeline {
 	p := &Pipeline{opts: opts}
 	if opts.Metrics != nil {

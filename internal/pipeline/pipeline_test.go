@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 )
 
 var testCfg = core.Config{NI: 13, NT: 3, Untaint: true}
@@ -163,51 +161,6 @@ func TestPipelinePerPIDOrdering(t *testing.T) {
 				t.Fatalf("pid %d: event %d reordered: %+v vs %+v", pid, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestRunStreamsFromReader wires the streaming trace.Reader into the
-// pipeline end to end: serialize, stream, analyze, compare to sequential.
-func TestRunStreamsFromReader(t *testing.T) {
-	evs := syntheticStream(10_000, 4, 5)
-	rec := &trace.Recorder{Events: evs}
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := trace.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pipeline.Run(sr, pipeline.Options{Workers: 4, Config: testCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Events != uint64(len(evs)) {
-		t.Fatalf("streamed %d events, want %d", res.Events, len(evs))
-	}
-	_, wantVerdicts := sequentialOracle(evs, testCfg)
-	if got, want := fmt.Sprintf("%#v", res.Verdicts), fmt.Sprintf("%#v", wantVerdicts); got != want {
-		t.Errorf("verdicts differ:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestRunPropagatesSourceError ensures a failing source shuts the
-// pipeline down cleanly and surfaces the error.
-func TestRunPropagatesSourceError(t *testing.T) {
-	evs := syntheticStream(100, 2, 3)
-	rec := &trace.Recorder{Events: evs}
-	var buf bytes.Buffer
-	if _, err := rec.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	truncated := buf.Bytes()[:buf.Len()-5]
-	sr, err := trace.NewReader(bytes.NewReader(truncated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipeline.Run(sr, pipeline.Options{Workers: 2, Config: testCfg}); err == nil {
-		t.Fatal("truncated stream analyzed without error")
 	}
 }
 

@@ -6,21 +6,21 @@ import (
 	"repro/internal/core"
 )
 
-// Session-embeddable construction: a pipeline seeded from live trackers
-// instead of a checkpoint file. The serving layer splits a tenant's
-// sequential tracker by PID (core.Tracker.SplitByPID with ShardOf as the
-// shard function), seeds a pipeline with the shards at the session's
-// acked offset, drains the remainder of the stream through DrainTrace or
-// Drain, and merges the shards back (core.MergeTrackers) at commit
-// points it owns — checkpointing stays external, the pipeline only
-// promises quiescence at the boundaries the caller already gets from
-// Sync, OnCheckpoint, and Close.
+// Session-embeddable construction: a pipeline seeded from live trackers.
+// The serving layer splits a tenant's sequential tracker by PID
+// (core.Tracker.SplitByPID with ShardOf as the shard function), seeds a
+// pipeline with the shards at the session's acked offset, feeds the
+// remainder of the stream through EventBatch, and merges the shards back
+// (core.MergeTrackers) at commit points it owns — checkpointing stays
+// external, the pipeline only promises quiescence at the boundaries the
+// caller already gets from Sync, OnCheckpoint, and Close. Restore is the
+// same construction over trackers decoded from a checkpoint file.
 
 // NewSeeded builds a pipeline whose shard i analyzes with trackers[i],
-// resuming the stream position at offset — the in-memory analogue of
-// Restore. The tracker slice determines the worker count; as with
-// Restore, conflicting opts are an error rather than silently ignored,
-// and NewStore must be nil because the seeds carry their own stores.
+// resuming the stream position at offset. The tracker slice determines
+// the worker count; conflicting opts are an error rather than silently
+// ignored, and NewStore must be nil because the seeds carry their own
+// stores.
 // The caller must have partitioned state with the same shard function
 // the pipeline routes with (ShardOf at len(trackers) workers), or shards
 // will see events for PIDs whose state lives elsewhere.

@@ -9,15 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Shard-owned ingest — the scaling path. Drain/drainBatched funnel every
-// event through one dispatcher goroutine, which decodes, shards, and
-// batches alone while N workers wait on it; past a few workers the
-// dispatcher IS the pipeline. DrainTrace removes it, and with it every
-// hand-off of decoded events between goroutines: each worker opens its
-// own trace.Reader over the phase's event range, decodes the range
-// itself, keeps only the events of its own PIDs (trace.Reader's filtered
-// read, keep = ShardOf(pid, n) == w, so everything at n = 1) and
-// analyzes them in place. A PIFTTRC1 worker validates every record but
+// Shard-owned ingest — the file-drain path. A producer feeding
+// Event/EventBatch funnels every event through one dispatcher goroutine,
+// which decodes, shards, and batches alone while N workers wait on it;
+// past a few workers the dispatcher IS the pipeline. DrainTrace has no
+// dispatcher and no hand-off of decoded events between goroutines: each
+// worker opens its own trace.Reader over the phase's event range, decodes
+// the range itself, keeps only the events of its own PIDs (trace.Reader's
+// filtered read, keep = ShardOf(pid, n) == w, so everything at n = 1)
+// and analyzes them in place. A PIFTTRC1 worker validates every record but
 // copies only its own; a PIFTTRC2 worker reads each block's PID-run
 // column and steps over the runs of other shards' PIDs without decoding
 // them, so the decode work that is duplicated across workers is the
@@ -46,25 +46,28 @@ import (
 // Checkpoint offsets keep their contract by phasing: the trace is drained
 // in phases bounded at CheckpointEvery multiples, with a full barrier
 // (every worker at the end of the phase) between phases. Checkpoints
-// therefore fire at precisely the same absolute offsets as Drain, against
-// quiescent trackers, and a checkpoint written here restores onto either
-// path.
+// therefore fire at exactly the CheckpointEvery multiples of the stream,
+// against quiescent trackers, and a checkpoint written here restores onto
+// either route: DrainTrace on the same bytes, or Skip to Offset() and an
+// EventBatch loop over the rest.
 
 // DrainTrace consumes the serialized trace in ra — either wire format,
 // sniffed from the header — through shard-owned readers and returns the
-// merged result, honoring the same checkpoint policy as Drain. For a
+// merged result, honoring Options.CheckpointEvery/OnCheckpoint. For a
 // block-compressed PIFTTRC2 trace the readers are positioned through the
 // block index (trace.LoadIndex) instead of the fixed record stride; a
 // phase edge may fall inside a block, and phase and checkpoint offsets
 // stay in event counts, so checkpoints fire at identical offsets on both
-// formats. A pipeline restored from a checkpoint resumes by calling
-// DrainTrace on the same bytes: the first phase starts at Offset(), no
-// Skip needed. On a decode, checkpoint, or cancellation error the
-// pipeline is shut down cleanly and the error returned — for a decode
-// error, the one a plain reader over the same bytes reports, except for
-// damage to the range values of a quiet process (see above); the partial
-// Result is discarded.
+// formats. The drain starts at Offset(): a restored pipeline resumes by
+// calling DrainTrace on the same bytes, and events that Event/EventBatch
+// dispatched before the call, which Offset() counts, are analyzed first
+// (Sync), ahead of the trace's later events of the same processes. On a
+// decode, checkpoint, or cancellation error the pipeline is shut down
+// cleanly and the error returned — for a decode error, the one a plain
+// reader over the same bytes reports, except for damage to the range
+// values of a quiet process (see above); the partial Result is discarded.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
+	p.Sync()
 	idx, err := trace.LoadIndex(ra)
 	if err != nil {
 		p.Close()
@@ -140,4 +143,15 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 		}
 	}
 	return err
+}
+
+// maybeCheckpoint runs the checkpoint hook when the dispatch count sits on
+// a CheckpointEvery boundary.
+func (p *Pipeline) maybeCheckpoint() error {
+	if p.opts.CheckpointEvery > 0 && p.events%p.opts.CheckpointEvery == 0 && p.opts.OnCheckpoint != nil {
+		if err := p.opts.OnCheckpoint(p); err != nil {
+			return fmt.Errorf("pipeline: checkpoint at offset %d: %w", p.events, err)
+		}
+	}
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +17,7 @@ import (
 )
 
 // genWire materializes a tracegen spec as PIFTTRC1 wire bytes plus the
-// in-memory recorder, so one generation feeds the oracle, the push path,
+// in-memory recorder, so one generation feeds the oracle, the dispatcher,
 // and the shard-owned path alike.
 func genWire(t testing.TB, spec tracegen.Spec) ([]byte, *trace.Recorder) {
 	t.Helper()
@@ -25,6 +27,32 @@ func genWire(t testing.TB, spec tracegen.Spec) ([]byte, *trace.Recorder) {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), rec
+}
+
+// dispatchTrace feeds wire from p.Offset() on through the dispatcher, the
+// way an ingest loop does — Skip, then NextBatch into one buffer and
+// EventBatch — and closes p.
+func dispatchTrace(t testing.TB, p *pipeline.Pipeline, wire []byte) pipeline.Result {
+	t.Helper()
+	src, err := trace.NewReader(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Skip(p.Offset()); err != nil {
+		t.Fatalf("Skip(%d): %v", p.Offset(), err)
+	}
+	buf := make([]cpu.Event, pipeline.DefaultBatchSize)
+	for {
+		n, err := src.NextBatch(buf)
+		p.EventBatch(buf[:n])
+		if err == io.EOF {
+			return p.Close()
+		}
+		if err != nil {
+			p.Close()
+			t.Fatal(err)
+		}
+	}
 }
 
 // oracle replays the recorder through one sequential tracker and returns
@@ -67,21 +95,17 @@ func TestShardOwnedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardOwnedMatchesPushPath pins the two ingest paths to each other
-// at equal worker counts: same shard layout, same per-shard event
+// TestShardOwnedMatchesPushPath pins DrainTrace to the dispatcher at
+// equal worker counts: same shard layout, same per-shard event
 // subsequences, so stats — watermarks included — and verdicts must be
 // fully identical, not merely oracle-equivalent.
 func TestShardOwnedMatchesPushPath(t *testing.T) {
 	wire, rec := genWire(t, tracegen.Spec{Seed: 12, Events: 100_000, PIDs: 16})
 	for _, workers := range []int{1, 3, 4, 8} {
 		opts := pipeline.Options{Workers: workers, BatchSize: 128, Config: testCfg}
-		src, err := trace.NewReader(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatal(err)
-		}
-		push, err := pipeline.New(opts).Drain(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
+		push := dispatchTrace(t, pipeline.New(opts), wire)
+		if push.Err != nil {
+			t.Fatal(push.Err)
 		}
 		shard, err := pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(wire))
 		if err != nil {
@@ -90,7 +114,7 @@ func TestShardOwnedMatchesPushPath(t *testing.T) {
 		got := fmt.Sprintf("%#v|%#v", shard.Stats, shard.Verdicts)
 		want := fmt.Sprintf("%#v|%#v", push.Stats, push.Verdicts)
 		if got != want {
-			t.Errorf("workers=%d: shard-owned result diverges from push path\n got %.300s\nwant %.300s",
+			t.Errorf("workers=%d: shard-owned result diverges from the dispatcher\n got %.300s\nwant %.300s",
 				workers, got, want)
 		}
 		if shard.Events != uint64(rec.Len()) || push.Events != shard.Events {
@@ -128,59 +152,46 @@ func TestShardOwnedScalingCorpus(t *testing.T) {
 	}
 }
 
-// TestShardOwnedCheckpointOffsetParity: both ingest paths must fire
-// checkpoints at exactly the same absolute offsets, and a checkpoint
-// written under the shard-owned drain must restore onto either path and
-// finish byte-identical to a clean run.
+// TestShardOwnedCheckpointOffsetParity: DrainTrace must fire checkpoints
+// at exactly the CheckpointEvery multiples, and a checkpoint it writes
+// must restore onto either route — DrainTrace, or Skip plus the
+// dispatcher — and finish byte-identical to a clean run.
 func TestShardOwnedCheckpointOffsetParity(t *testing.T) {
 	wire, rec := genWire(t, tracegen.Spec{Seed: 13, Events: 10_000, PIDs: 8})
-	opts := pipeline.Options{Workers: 4, BatchSize: 64, CheckpointEvery: 1000, Config: testCfg}
+	opts := pipeline.Options{Workers: 4, BatchSize: 64, Config: testCfg}
 
-	run := func(drain func(p *pipeline.Pipeline) (pipeline.Result, error)) ([]uint64, *bytes.Buffer, pipeline.Result) {
-		var offsets []uint64
-		var ckpt bytes.Buffer
-		o := opts
-		o.OnCheckpoint = func(p *pipeline.Pipeline) error {
-			offsets = append(offsets, p.Offset())
-			if p.Offset() == 5000 {
-				ckpt.Reset()
-				if _, err := p.WriteCheckpoint(&ckpt); err != nil {
-					return err
-				}
+	var offsets []uint64
+	var ckpt bytes.Buffer
+	o := opts
+	o.CheckpointEvery = 1000
+	o.OnCheckpoint = func(p *pipeline.Pipeline) error {
+		offsets = append(offsets, p.Offset())
+		if p.Offset() == 5000 {
+			if _, err := p.WriteCheckpoint(&ckpt); err != nil {
+				return err
 			}
-			return nil
 		}
-		res, err := drain(pipeline.New(o))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return offsets, &ckpt, res
+		return nil
 	}
-
-	pushOffsets, _, pushRes := run(func(p *pipeline.Pipeline) (pipeline.Result, error) {
-		src, err := trace.NewReader(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.Drain(context.Background(), src)
-	})
-	shardOffsets, ckpt, shardRes := run(func(p *pipeline.Pipeline) (pipeline.Result, error) {
-		return p.DrainTrace(context.Background(), bytes.NewReader(wire))
-	})
-
-	if fmt.Sprint(pushOffsets) != fmt.Sprint(shardOffsets) {
-		t.Fatalf("checkpoint offsets diverge:\npush  %v\nshard %v", pushOffsets, shardOffsets)
+	shardRes, err := pipeline.New(o).DrainTrace(context.Background(), bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(shardOffsets) != rec.Len()/1000 {
-		t.Fatalf("fired %d checkpoints, want %d", len(shardOffsets), rec.Len()/1000)
+	var wantOffsets []uint64
+	for off := uint64(1000); off <= uint64(rec.Len()); off += 1000 {
+		wantOffsets = append(wantOffsets, off)
 	}
+	if fmt.Sprint(offsets) != fmt.Sprint(wantOffsets) {
+		t.Fatalf("checkpoint offsets %v, want %v", offsets, wantOffsets)
+	}
+	pushRes := dispatchTrace(t, pipeline.New(opts), wire)
 	want := fmt.Sprintf("%#v|%#v", pushRes.Stats, pushRes.Verdicts)
 	if got := fmt.Sprintf("%#v|%#v", shardRes.Stats, shardRes.Verdicts); got != want {
-		t.Fatalf("clean results diverge between paths")
+		t.Fatalf("clean results diverge between routes")
 	}
 
 	// Resume the mid-stream checkpoint through the shard-owned path: the
-	// planner starts at Offset(), no Skip required.
+	// drain starts at Offset(), no Skip required.
 	r2, err := pipeline.Restore(bytes.NewReader(ckpt.Bytes()), pipeline.Options{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -196,24 +207,14 @@ func TestShardOwnedCheckpointOffsetParity(t *testing.T) {
 		t.Fatalf("shard-owned resume diverges from clean run\n got %.300s\nwant %.300s", got, want)
 	}
 
-	// And through the push path, proving the checkpoint is path-agnostic.
+	// And through the dispatcher, proving the checkpoint is route-agnostic.
 	r3, err := pipeline.Restore(bytes.NewReader(ckpt.Bytes()), pipeline.Options{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := trace.NewReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Skip(r3.Offset()); err != nil {
-		t.Fatal(err)
-	}
-	res, err = r3.Drain(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = dispatchTrace(t, r3, wire)
 	if got := fmt.Sprintf("%#v|%#v", res.Stats, res.Verdicts); got != want {
-		t.Fatalf("push-path resume of shard-owned checkpoint diverges from clean run")
+		t.Fatalf("dispatcher resume of shard-owned checkpoint diverges from clean run")
 	}
 }
 
@@ -238,10 +239,91 @@ func TestShardOwnedCancel(t *testing.T) {
 	}
 }
 
+// TestDrainTraceAnalyzesDispatchedFirst: DrainTrace starts at Offset(),
+// which counts events fed through Event before the call even while they
+// sit in the dispatcher's partial batches. Those events must be analyzed
+// before the trace's later events of the same processes, so the result
+// is the sequential oracle's whatever the prefix length.
+func TestDrainTraceAnalyzesDispatchedFirst(t *testing.T) {
+	wire, rec := genWire(t, tracegen.Spec{Seed: 21, Events: 50_000, PIDs: 4, SourceEvery: 64})
+	wantStats, wantVerdicts := oracle(rec)
+	want := fmt.Sprintf("%#v", wantVerdicts)
+	for _, workers := range []int{1, 2, 4} {
+		for _, k := range []int{1, 100, 255, 257, 3000, 12345} {
+			t.Run(fmt.Sprintf("workers=%d/k=%d", workers, k), func(t *testing.T) {
+				p := pipeline.New(pipeline.Options{Workers: workers, Config: testCfg})
+				for _, ev := range rec.Events[:k] {
+					p.Event(ev)
+				}
+				res, err := p.DrainTrace(context.Background(), bytes.NewReader(wire))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmp := res.Stats
+				cmp.MaxBytes, cmp.MaxRanges = wantStats.MaxBytes, wantStats.MaxRanges
+				if cmp != wantStats || (workers == 1 && res.Stats != wantStats) {
+					t.Errorf("stats %+v, want %+v", res.Stats, wantStats)
+				}
+				if got := fmt.Sprintf("%#v", res.Verdicts); got != want {
+					t.Errorf("verdicts diverge from sequential oracle\n got %.300s\nwant %.300s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestDrainTraceCanceledBeforeStart: under an already-canceled context
+// the drain returns context.Canceled before any event reaches an
+// Observer.
+func TestDrainTraceCanceledBeforeStart(t *testing.T) {
+	wire, _ := genWire(t, tracegen.Spec{Seed: 18, Events: 20_000, PIDs: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var seen atomic.Uint64
+	_, err := pipeline.New(pipeline.Options{
+		Workers:  2,
+		Config:   testCfg,
+		Observer: func(int, cpu.Event) { seen.Add(1) },
+	}).DrainTrace(ctx, bytes.NewReader(wire))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n := seen.Load(); n != 0 {
+		t.Fatalf("%d events analyzed under a dead context", n)
+	}
+}
+
+// TestDrainTraceCanceledMidPhase: with CheckpointEvery 0 the whole trace
+// is one phase, so only the workers' per-batch check can stop the drain.
+// An Observer cancels at its 1,000th event; the drain must return
+// context.Canceled and leave the rest of the trace unanalyzed.
+func TestDrainTraceCanceledMidPhase(t *testing.T) {
+	const events = 200_000
+	wire, _ := genWire(t, tracegen.Spec{Seed: 19, Events: events, PIDs: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Uint64
+	_, err := pipeline.New(pipeline.Options{
+		Workers: 2,
+		Config:  testCfg,
+		Observer: func(int, cpu.Event) {
+			if seen.Add(1) == 1000 {
+				cancel()
+			}
+		},
+	}).DrainTrace(ctx, bytes.NewReader(wire))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n := seen.Load(); n >= events {
+		t.Fatalf("all %d events analyzed after cancellation at the 1,000th", n)
+	}
+}
+
 // TestShardOwnedDegraded: the worker fault policy carries over unchanged —
 // a shard that exhausts its restart budget under the shard-owned drain
 // fails in place, the other shards finish, and the merged Result reports
-// the fault exactly like the push path.
+// the fault exactly like the dispatcher.
 func TestShardOwnedDegraded(t *testing.T) {
 	wire, rec := genWire(t, tracegen.Spec{Seed: 15, Events: 50_000, PIDs: 16})
 	var poison cpu.Event

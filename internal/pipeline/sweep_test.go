@@ -19,7 +19,8 @@ import (
 // pipeline with a checkpoint taken at every batch boundary; at each
 // boundary the run is "killed" (fed a little further, then discarded), a
 // fresh pipeline restored from the checkpoint bytes, the serialized trace
-// re-opened and Skip()ed to the checkpoint offset, and the tail drained.
+// re-opened and Skip()ed to the checkpoint offset, and the tail fed
+// through the dispatcher the way an ingest loop does.
 // Every resumed run must merge to byte-identical stats and canonically
 // sorted verdicts against the sequential oracle.
 func TestCrashPointSweepDroidBench(t *testing.T) {
@@ -80,16 +81,9 @@ func TestCrashPointSweepDroidBench(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Restore: %v", cut, err)
 		}
-		src, err := trace.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Skip(r2.Offset()); err != nil {
-			t.Fatalf("cut %d: Skip(%d): %v", cut, r2.Offset(), err)
-		}
-		res, err := r2.Drain(context.Background(), src)
-		if err != nil {
-			t.Fatalf("cut %d: resumed drain: %v", cut, err)
+		res := dispatchTrace(t, r2, raw)
+		if res.Err != nil {
+			t.Fatalf("cut %d: resumed run: %v", cut, res.Err)
 		}
 		if res.Events != uint64(n) {
 			t.Fatalf("cut %d: resumed run accounts %d events, want %d", cut, res.Events, n)

@@ -35,7 +35,8 @@ func oracleKey(stats core.Stats, verdicts []core.SinkVerdict) string {
 // TestDrainTraceV2Parity is the cross-format acceptance matrix: the same
 // workloads serialized as PIFTTRC1 and PIFTTRC2 must produce
 // byte-identical stats and verdicts on the sequential oracle, the
-// dispatcher Drain, and the shard-owned DrainTrace at 1/2/4/8 workers.
+// dispatcher (fed by an EventBatch loop), and the shard-owned DrainTrace
+// at 1/2/4/8 workers.
 func TestDrainTraceV2Parity(t *testing.T) {
 	workloads := map[string]*trace.Recorder{
 		"synthetic": tracegen.Generate(tracegen.Spec{Seed: 99, Events: 3*trace.DefaultBlockEvents + 777}),
@@ -77,15 +78,11 @@ func TestDrainTraceV2Parity(t *testing.T) {
 			// must agree byte for byte (including watermarks — same path,
 			// same worker count), and both must match the sequential
 			// oracle on everything but the per-shard watermarks.
-			runDrain := func(raw []byte) (pipeline.Result, error) {
-				sr, err := trace.NewReader(bytes.NewReader(raw))
-				if err != nil {
-					return pipeline.Result{}, err
-				}
-				return pipeline.New(pipeline.Options{Workers: 4, BatchSize: 256, Config: testCfg}).
-					Drain(context.Background(), sr)
+			runDispatch := func(raw []byte) (pipeline.Result, error) {
+				res := dispatchTrace(t, pipeline.New(pipeline.Options{Workers: 4, BatchSize: 256, Config: testCfg}), raw)
+				return res, res.Err
 			}
-			paths := map[string]func([]byte) (pipeline.Result, error){"Drain@4": runDrain}
+			paths := map[string]func([]byte) (pipeline.Result, error){"dispatch@4": runDispatch}
 			for _, workers := range []int{1, 2, 4, 8} {
 				w := workers
 				paths[fmt.Sprintf("DrainTrace@%d", w)] = func(raw []byte) (pipeline.Result, error) {
