@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -220,6 +221,98 @@ func TestEventBatchCursor(t *testing.T) {
 	tr.EventBatch(evs[3:])
 	if st := tr.Stats(); st.Loads != 3 || st.Stores != 1 {
 		t.Fatalf("stats after resume %+v", st)
+	}
+}
+
+// TestCountQuietMatchesEvent replays tracegen corpora the way a
+// projected trace read hands them over: each PID run of a process that is
+// quiet at the run's start and registers no source in it arrives as one
+// CountQuiet of its loads and stores, followed by its sink checks with
+// their ranges left out, in one EventBatch; every other run arrives
+// whole. Every observable must equal the per-event tracker's.
+func TestCountQuietMatchesEvent(t *testing.T) {
+	projected := mem.Range{Start: 1, End: 0} // trace.ProjectedRange
+	for _, every := range []int{1 << 30, 0, 256} {
+		for _, quantum := range []int{3, 64} {
+			evs := tracegen.Generate(tracegen.Spec{
+				Seed: int64(every + quantum), Events: 1 << 13, PIDs: 8, Quantum: quantum, SourceEvery: every,
+			}).Events
+			name := fmt.Sprintf("every=%d/quantum=%d", every, quantum)
+			p := newApplyPair(batchConfigs[0])
+			counted := 0
+			for i := 0; i < len(evs); {
+				j := i + 1
+				for j < len(evs) && evs[j].PID == evs[i].PID {
+					j++
+				}
+				run := evs[i:j]
+				for _, ev := range run {
+					p.ref.Event(ev)
+				}
+				source := func(ev cpu.Event) bool { return ev.Kind == cpu.EvSourceRegister }
+				if !p.batch.Quiet(run[0].PID) || slices.ContainsFunc(run, source) {
+					p.batch.EventBatch(run)
+					i = j
+					continue
+				}
+				var loads, stores uint64
+				var sinks []cpu.Event
+				for _, ev := range run {
+					switch ev.Kind {
+					case cpu.EvLoad:
+						loads++
+					case cpu.EvStore:
+						stores++
+					default:
+						ev.Range = projected
+						sinks = append(sinks, ev)
+					}
+				}
+				p.batch.CountQuiet(run[0].PID, loads, stores)
+				p.batch.EventBatch(sinks)
+				counted += len(run)
+				i = j
+			}
+			if counted == 0 {
+				t.Fatalf("%s: no run was counted", name)
+			}
+			if err := p.diff(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestCountQuietRefuses: CountQuiet panics and changes nothing for a
+// process that holds taint, for one whose taint set is empty but whose
+// window is still open, and on a store other than the IdealStore.
+func TestCountQuietRefuses(t *testing.T) {
+	cfg := Config{NI: 13, NT: 3, Untaint: true}
+	tainted := NewTracker(cfg, nil)
+	tainted.Event(cpu.Event{Kind: cpu.EvSourceRegister, PID: 1, Seq: 1, Range: mem.MakeRange(10, 4)})
+	open := NewTracker(cfg, nil)
+	evs := emptiedOpenWindow()
+	open.EventBatch(evs[:9]) // PID 1: set empty, window open
+	bounded := NewTracker(cfg, NewRangeCache(8, EvictLRU))
+	for name, tr := range map[string]*Tracker{"tainted": tainted, "open-window": open, "bounded-store": bounded} {
+		if tr.Quiet(1) {
+			t.Fatalf("%s: PID 1 is quiet", name)
+		}
+		state := func() string {
+			return fmt.Sprintf("%+v windows=%d ranges=%d", tr.Stats(), tr.WindowCount(), tr.RangeCount())
+		}
+		before := state()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: CountQuiet did not panic", name)
+				}
+			}()
+			tr.CountQuiet(1, 5, 7)
+		}()
+		if after := state(); after != before {
+			t.Fatalf("%s: a refused count changed the tracker: %s, was %s", name, after, before)
+		}
 	}
 }
 

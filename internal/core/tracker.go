@@ -246,11 +246,11 @@ func (t *Tracker) Event(ev cpu.Event) {
 // tracker on one goes through Event.
 //
 // A quiet run reads no event's range, so a reader may leave the ranges
-// of a quiet process's events undecoded (trace.ProjectedRange). Such a
-// range ends below its start, which no decoder produces, and EventBatch
-// panics on one outside a quiet run: a reader that left out a range
-// Algorithm 1 needs faults the batch instead of computing a verdict from
-// it.
+// of a quiet process's sink checks undecoded (trace.ProjectedRange), and
+// may hand over its loads and stores as counts (CountQuiet). Such a range
+// ends below its start, which no decoder produces, and EventBatch panics
+// on one outside a quiet run: a reader that left out a range Algorithm 1
+// needs faults the batch instead of computing a verdict from it.
 //
 // If Event panics (a faulty Store), the panic propagates and BatchCursor
 // reports which event raised it.
@@ -278,11 +278,23 @@ func (t *Tracker) EventBatch(evs []cpu.Event) {
 // Quiet reports whether EventBatch would apply pid's next events as
 // counts: the tracker runs on an IdealStore, pid's taint set is empty and
 // its window is closed. A quiet process stays quiet until it registers a
-// source, so a reader may leave out the ranges of its events up to that
-// registration.
+// source, so up to that registration a reader may count its loads and
+// stores (CountQuiet) and leave out the ranges of its sink checks.
 func (t *Tracker) Quiet(pid uint32) bool {
 	ideal, _ := t.store.(*IdealStore)
 	return ideal != nil && t.quiet(ideal, pid)
+}
+
+// CountQuiet applies the given numbers of loads and stores of the quiet
+// process pid as EventBatch applies them in a quiet run: the Loads and
+// Stores counters, and the closed window entry a store creates. It
+// panics, and changes nothing, if pid is not quiet: counts stand in for
+// events only where Algorithm 1 would read nothing else of them.
+func (t *Tracker) CountQuiet(pid uint32, loads, stores uint64) {
+	if !t.Quiet(pid) {
+		panic(fmt.Sprintf("core: counted events of PID %d, which is not quiet", pid))
+	}
+	t.addQuiet(pid, loads, stores)
 }
 
 // BatchCursor returns where the last EventBatch call stopped: len(evs)
@@ -330,16 +342,21 @@ scan:
 			break scan
 		}
 	}
-	if stores > 0 {
-		t.win(pid)
-	}
-	t.stats.Loads += memOps - stores
-	t.stats.Stores += stores
+	t.addQuiet(pid, memOps-stores, stores)
 	if sinks > 0 {
 		t.stats.SinkChecks += sinks
 		t.m.SinkChecks.Add(sinks)
 	}
 	return n
+}
+
+// addQuiet applies loads and stores of the quiet process pid.
+func (t *Tracker) addQuiet(pid uint32, loads, stores uint64) {
+	if stores > 0 {
+		t.win(pid)
+	}
+	t.stats.Loads += loads
+	t.stats.Stores += stores
 }
 
 func (t *Tracker) win(pid uint32) *window {

@@ -83,28 +83,8 @@ func TestDrainTraceEarliestDamage(t *testing.T) {
 	})
 
 	t.Run("v2-quiet", func(t *testing.T) {
-		// At this density most processes hold taint by event 25,000 and
-		// a few are quiet through the block that holds it.
-		rec := tracegen.Generate(tracegen.Spec{Seed: 72, Events: 40_000, PIDs: 16, Quantum: 64, SourceEvery: 1024})
-		raw, idx := encodeV2(t, rec)
+		rec, raw, b, quiet := quietBlock(t)
 		clean := bytes.Clone(raw)
-		b := blockAt(idx, 25_000)
-		block := rec.Events[b.First : b.First+uint64(b.Count)]
-		tr := replay(rec.Events[:b.First])
-		if tr.Stats().TaintOps == 0 {
-			t.Fatal("no process has spread taint before the damaged block")
-		}
-		var quiet uint32
-		for pid := uint32(1); pid <= 16 && quiet == 0; pid++ {
-			has := func(ev cpu.Event) bool { return ev.PID == pid }
-			source := func(ev cpu.Event) bool { return ev.PID == pid && ev.Kind == cpu.EvSourceRegister }
-			if tr.Quiet(pid) && slices.ContainsFunc(block, has) && !slices.ContainsFunc(block, source) {
-				quiet = pid
-			}
-		}
-		if quiet == 0 {
-			t.Fatalf("no PID is quiet through the block at %d", b.First)
-		}
 		breakRangeStart(t, raw, b, rec.Events, quiet)
 
 		r, err := trace.NewReader(bytes.NewReader(raw))
@@ -133,6 +113,54 @@ func TestDrainTraceEarliestDamage(t *testing.T) {
 			}
 		}
 	})
+
+	// A DrainTrace worker counts a quiet process's loads and stores but
+	// still checks every kind/tag and seq value of them: an over-long
+	// varint there fails the drain as it fails a plain read.
+	for col, name := range []string{"v2-quiet-kind", "v2-quiet-seq"} {
+		t.Run(name, func(t *testing.T) {
+			rec, raw, b, quiet := quietBlock(t)
+			raw = overlongValue(t, raw, b, rec.Events, quiet, col)
+			r, err := trace.NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var plainErr error
+			for buf := make([]cpu.Event, 256); plainErr == nil; {
+				_, plainErr = r.NextBatch(buf)
+			}
+			if !errors.Is(plainErr, trace.ErrCorrupt) || r.Offset() != b.First {
+				t.Fatalf("plain read ended with %v at %d, want ErrCorrupt at the block at %d", plainErr, r.Offset(), b.First)
+			}
+			checkEarliest(t, raw)
+		})
+	}
+}
+
+// quietBlock generates a trace in which some process is quiet through
+// the PIFTTRC2 block that holds event 25,000, and returns the trace, its
+// bytes, that block and the quiet PID.
+func quietBlock(t *testing.T) (*trace.Recorder, []byte, trace.BlockInfo, uint32) {
+	t.Helper()
+	// At this density most processes hold taint by event 25,000 and
+	// a few are quiet through the block that holds it.
+	rec := tracegen.Generate(tracegen.Spec{Seed: 72, Events: 40_000, PIDs: 16, Quantum: 64, SourceEvery: 1024})
+	raw, idx := encodeV2(t, rec)
+	b := blockAt(idx, 25_000)
+	block := rec.Events[b.First : b.First+uint64(b.Count)]
+	tr := replay(rec.Events[:b.First])
+	if tr.Stats().TaintOps == 0 {
+		t.Fatal("no process has spread taint before the damaged block")
+	}
+	for pid := uint32(1); pid <= 16; pid++ {
+		has := func(ev cpu.Event) bool { return ev.PID == pid }
+		source := func(ev cpu.Event) bool { return ev.PID == pid && ev.Kind == cpu.EvSourceRegister }
+		if tr.Quiet(pid) && slices.ContainsFunc(block, has) && !slices.ContainsFunc(block, source) {
+			return rec, raw, b, pid
+		}
+	}
+	t.Fatalf("no PID is quiet through the block at %d", b.First)
+	return nil, nil, b, 0
 }
 
 // encodeV2 serializes rec as PIFTTRC2 and indexes it.
@@ -192,6 +220,19 @@ func breakRangeStart(t *testing.T, raw []byte, b trace.BlockInfo, evs []cpu.Even
 	}
 	const blockHeaderSize = 20
 	payload := raw[b.Offset+blockHeaderSize:][:b.Payload]
+	i := columnValue(t, payload, int(b.Count), 2, at-int(b.First))
+	if payload[i]&1 != 0 {
+		t.Fatalf("event %d: range-start delta is not a chain start", at)
+	}
+	payload[i] |= 1
+	binary.LittleEndian.PutUint32(raw[b.Offset+16:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// columnValue returns the offset in payload of the value of event at
+// (an index into the block) in data column col (0 kind/tag, 1 seq, 2
+// range start) of a PIFTTRC2 block payload of count events.
+func columnValue(t *testing.T, payload []byte, count, col, at int) int {
+	t.Helper()
 	i := 0
 	skip := func(n int) {
 		for ; n > 0; n-- {
@@ -205,19 +246,41 @@ func breakRangeStart(t *testing.T, raw []byte, b trace.BlockInfo, evs []cpu.Even
 	ndict, w := binary.Uvarint(payload)
 	i += w
 	skip(int(ndict))
-	for filled := uint64(0); filled < uint64(b.Count); {
+	for filled := 0; filled < count; {
 		skip(1) // dictionary index
 		n, w := binary.Uvarint(payload[i:])
 		i += w
-		filled += n
+		filled += int(n)
 	}
-	skip(2 * int(b.Count))  // kind/tag and seq columns
-	skip(at - int(b.First)) // earlier range starts
-	if payload[i]&1 != 0 {
-		t.Fatalf("event %d: range-start delta is not a chain start", at)
+	skip(col*count + at)
+	return i
+}
+
+// overlongValue rewrites pid's first event in PIFTTRC2 block b, its value
+// in data column col (0 kind/tag, 1 seq), as an 11-byte varint, one byte
+// more than a uint64 may take, and fixes the block's payload length and
+// CRC, so only a decoder that checks the value sees the damage. It
+// returns the new trace bytes.
+func overlongValue(t *testing.T, raw []byte, b trace.BlockInfo, evs []cpu.Event, pid uint32, col int) []byte {
+	t.Helper()
+	at := firstOf(t, evs, pid, int(b.First))
+	if uint64(at) >= b.First+uint64(b.Count) {
+		t.Fatalf("PID %d has no event in the block at %d", pid, b.First)
 	}
-	payload[i] |= 1
-	binary.LittleEndian.PutUint32(raw[b.Offset+16:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	const blockHeaderSize = 20
+	start := int(b.Offset) + blockHeaderSize
+	payload := raw[start:][:b.Payload]
+	i := columnValue(t, payload, int(b.Count), col, at-int(b.First))
+	v, w := binary.Uvarint(payload[i:])
+	long := make([]byte, 11)
+	for k := range long[:10] {
+		long[k] = byte(v>>(7*k))&0x7f | 0x80
+	}
+	out := slices.Concat(raw[:start+i], long, raw[start+i+w:])
+	payload = out[start:][:len(payload)-w+len(long)]
+	binary.LittleEndian.PutUint32(out[b.Offset+12:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[b.Offset+16:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return out
 }
 
 var eventIndex = regexp.MustCompile(`event (\d+)`)

@@ -6,9 +6,12 @@ import "repro/internal/metrics"
 // gauges and histograms. The zero value disables instrumentation; all
 // mutations are nil-receiver-safe.
 type PipelineMetrics struct {
-	// EventsDispatched and BatchesDispatched count the producer side:
-	// each batch the dispatcher sends (Event/EventBatch), each batch a
-	// worker decodes for itself under DrainTrace.
+	// EventsDispatched counts the events workers are given to analyze:
+	// those in each batch the dispatcher sends (Event/EventBatch), and
+	// under DrainTrace those each worker reads for itself, the loads and
+	// stores its projected read hands over as counts included.
+	// BatchesDispatched counts delivered batches: each batch the
+	// dispatcher sends, and each batch a worker's read returns.
 	EventsDispatched  *metrics.Counter
 	BatchesDispatched *metrics.Counter
 	// QueueDepth is the number of batches currently sitting in worker
@@ -21,7 +24,8 @@ type PipelineMetrics struct {
 	// each one is a backpressure block on the producer. Dispatcher only.
 	Stalls *metrics.Counter
 	// BatchSeconds is the per-batch analysis latency on the worker
-	// (receive-to-done), and BatchEvents the batch-size distribution.
+	// (receive-to-done), and BatchEvents the size distribution of
+	// delivered batches, which holds no counted event.
 	BatchSeconds *metrics.Histogram
 	BatchEvents  *metrics.Histogram
 	// MergeNanos is the duration of the last Close drain+merge.
@@ -50,9 +54,9 @@ type PipelineMetrics struct {
 func NewPipelineMetrics(r *metrics.Registry) PipelineMetrics {
 	return PipelineMetrics{
 		EventsDispatched: r.Counter("pift_pipeline_events_total",
-			"Events routed to workers by the dispatcher."),
+			"Events given to workers to analyze: sent by the dispatcher, or read by a DrainTrace worker, counted loads and stores included."),
 		BatchesDispatched: r.Counter("pift_pipeline_batches_total",
-			"Batches handed to worker queues."),
+			"Event batches delivered to workers: sent by the dispatcher, or returned by a DrainTrace worker's read."),
 		QueueDepth: r.Gauge("pift_pipeline_queue_depth",
 			"Batches currently enqueued across all worker channels."),
 		QueueDepthHigh: r.Gauge("pift_pipeline_queue_depth_highwater",
@@ -63,7 +67,7 @@ func NewPipelineMetrics(r *metrics.Registry) PipelineMetrics {
 			"Per-batch worker analysis latency in seconds.",
 			metrics.LatencyBuckets),
 		BatchEvents: r.Histogram("pift_pipeline_batch_events",
-			"Events per dispatched batch.", metrics.CountBuckets),
+			"Events per delivered batch; loads and stores a DrainTrace read counts are in no batch.", metrics.CountBuckets),
 		MergeNanos: r.Gauge("pift_pipeline_merge_duration_ns",
 			"Duration of the last Close drain and merge, in nanoseconds."),
 		WorkerPanics: r.Counter("pift_pipeline_worker_panics_total",

@@ -85,10 +85,10 @@ func newShell(opts Options) *Pipeline {
 // start installs tracker tr as shard i's analyzer and launches the shard.
 func (p *Pipeline) start(i int, tr *core.Tracker) {
 	tr.SetMetrics(p.tm)
-	w := newWorker(i, tr, p.opts.QueueDepth, p.opts.MaxRestarts)
+	w := newWorker(i, tr, p.m, p.opts.QueueDepth, p.opts.MaxRestarts)
 	p.workers[i] = w
 	p.pending[i] = p.batch()
-	go w.run(p.opts.Observer, &p.pool, &p.inflight, p.m)
+	go w.run(p.opts.Observer, &p.pool, &p.inflight)
 }
 
 // Workers returns the worker count.

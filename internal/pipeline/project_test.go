@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/trace/tracegen"
@@ -77,6 +79,89 @@ func TestDrainTraceProjectedMatchesFull(t *testing.T) {
 					}
 					if ckpt > 0 && len(projCkpt) == 0 {
 						t.Fatalf("%s: no checkpoint written", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzDrainTraceProjected drains a tracegen PIFTTRC2 trace of the
+// fuzzer's shape twice, as is and with a no-op Observer, which turns
+// projection off, and requires the same Stats, verdicts, Faults and
+// checkpoint bytes. Small quanta and dense sinks reach block layouts the
+// fixed matrix of TestDrainTraceProjectedMatchesFull does not: many short
+// runs of a PID per block, several sink checks in one counted run, and a
+// source registration after a counted run of the same PID.
+func FuzzDrainTraceProjected(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(3), uint16(1<<15), uint16(40), uint8(2), uint16(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint16(300), uint16(7), uint8(1), uint16(600))
+	f.Add(int64(3), uint8(64), uint8(64), uint16(255), uint16(511), uint8(3), uint16(5000))
+	f.Add(int64(4), uint8(2), uint8(5), uint16(2000), uint16(0), uint8(4), uint16(512))
+	f.Fuzz(func(t *testing.T, seed int64, pids, quantum uint8, sourceEvery, sinkEvery uint16, workers uint8, ckpt uint16) {
+		spec := tracegen.Spec{
+			Seed:        seed,
+			Events:      10_000,
+			PIDs:        1 + int(pids)%64,
+			Quantum:     1 + int(quantum)%64,
+			SourceEvery: 1 + int(sourceEvery),
+			SinkEvery:   1 + int(sinkEvery)%512,
+		}
+		opts := pipeline.Options{Workers: 1 + int(workers)%4, Config: testCfg}
+		if ckpt >= 512 {
+			opts.CheckpointEvery = uint64(ckpt)
+		}
+		var buf bytes.Buffer
+		if _, err := tracegen.Generate(spec).WriteToFormat(&buf, trace.FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		projected, full, projCkpt, fullCkpt := drainBoth(t, buf.Bytes(), opts)
+		if projected.Stats != full.Stats {
+			t.Fatalf("%+v %+v: stats\nprojected %+v\nfull      %+v", spec, opts, projected.Stats, full.Stats)
+		}
+		if !reflect.DeepEqual(projected.Verdicts, full.Verdicts) {
+			t.Fatalf("%+v %+v: verdicts differ", spec, opts)
+		}
+		if got, want := faultReport(projected), faultReport(full); got != want {
+			t.Fatalf("%+v %+v: faults\nprojected %s\nfull      %s", spec, opts, got, want)
+		}
+		if !bytes.Equal(projCkpt, fullCkpt) {
+			t.Fatalf("%+v %+v: checkpoint bytes differ", spec, opts)
+		}
+	})
+}
+
+// TestDrainTraceEventsTotal: pift_pipeline_events_total counts every
+// event a DrainTrace worker analyzes, those its reader counted instead of
+// delivering included. Over tracegen PIFTTRC2 corpora with no sources,
+// the default density and a dense one, drained at 1, 2 and 4 workers,
+// with and without a no-op Observer and with checkpoints every 5000
+// events, the counter ends at the trace's event count.
+func TestDrainTraceEventsTotal(t *testing.T) {
+	const events = 30_000
+	for _, every := range []int{1 << 30, 0, 256} {
+		var buf bytes.Buffer
+		rec := tracegen.Generate(tracegen.Spec{Seed: int64(every), Events: events, PIDs: 16, SourceEvery: every})
+		if _, err := rec.WriteToFormat(&buf, trace.FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, obs := range []func(int, cpu.Event){nil, func(int, cpu.Event) {}} {
+				for _, ckpt := range []uint64{0, 5000} {
+					name := fmt.Sprintf("sourceEvery=%d/workers=%d/observer=%t/ckpt=%d", every, workers, obs != nil, ckpt)
+					reg := metrics.NewRegistry()
+					opts := pipeline.Options{Workers: workers, Config: testCfg, Observer: obs, Metrics: reg, CheckpointEvery: ckpt}
+					if ckpt > 0 {
+						opts.OnCheckpoint = func(p *pipeline.Pipeline) error {
+							_, err := p.WriteCheckpoint(io.Discard)
+							return err
+						}
+					}
+					if _, err := pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := reg.Counter("pift_pipeline_events_total", "").Value(); got != events {
+						t.Fatalf("%s: pift_pipeline_events_total = %d, want %d", name, got, events)
 					}
 				}
 			}

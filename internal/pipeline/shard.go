@@ -21,12 +21,14 @@ import (
 // copies only its own; a PIFTTRC2 worker reads each block's PID-run
 // column and steps over the runs of other shards' PIDs without decoding
 // them, so the decode work that is duplicated across workers is the
-// cheap part of it. Without an Observer it also steps over the range
-// columns of every process its tracker reports quiet (core.Tracker.Quiet)
-// at the block's start and that registers no source in the block:
-// Tracker.EventBatch applies such a process's events as counts and reads
-// no range, and taint enters a process only through its own source
-// registration, so the process stays quiet through the block.
+// cheap part of it. Without an Observer it also counts every process its
+// tracker reports quiet (core.Tracker.Quiet) at the block's start and
+// that registers no source in the block: the worker, as the read's
+// trace.Projector, takes the process's loads and stores as one count per
+// block (core.Tracker.CountQuiet) and only its sink checks as events,
+// without their ranges. Algorithm 1 reads nothing else of a quiet
+// process's events, and taint enters a process only through its own
+// source registration, so the process stays quiet through the block.
 //
 // Correctness is an ordering argument. Tracker state is per-PID, so the
 // merged Result is byte-identical to the sequential tracker's as long as
@@ -39,7 +41,7 @@ import (
 // offset, so the failure with the lowest event offset across the workers
 // is the one a plain reader reports; that is the error DrainTrace
 // returns. The one exception is a value in a range column a worker
-// stepped over: a malformed or out-of-address-space range of a quiet
+// stepped over: a malformed or out-of-address-space range of a counted
 // process's event goes unreported, and the Result is the one the
 // undamaged bytes give, since Algorithm 1 never reads that range.
 //
@@ -124,11 +126,6 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 		jobs[w] = phaseJob{ctx: ctx, r: idx.SegmentReader(ra, seg), batch: p.opts.BatchSize, wg: &phase}
 		if nw > 1 {
 			jobs[w].keep = func(pid uint32) bool { return shard(pid, nw) == w }
-		}
-		if p.opts.Observer == nil {
-			// Asked on the worker's goroutine as its reader reaches a
-			// block, after the worker applied every event before it.
-			jobs[w].noRanges = wk.tr.Quiet
 		}
 		if !wk.q.Push(job{phase: &jobs[w]}) {
 			panic("pipeline: phase pushed on closed worker queue")

@@ -25,20 +25,20 @@ type job struct {
 // phaseJob hands a worker one shard-owned phase: a reader over the
 // phase's event range, which the worker drains in trace order keeping
 // the events keep accepts (its own PIDs'; nil keeps all) — that scan
-// order is what preserves per-PID event order — and reading those of
-// the PIDs noRanges accepts (its tracker's quiet ones; nil: none)
-// without their ranges, plus the phase barrier the coordinator waits on.
-// The worker reports a failure in err, with the reader's offset at the
+// order is what preserves per-PID event order — plus the phase barrier
+// the coordinator waits on. Without an Observer the worker reads it
+// projected, as its own trace.Projector: the loads and stores of a
+// process its tracker answers quiet for reach the tracker as counts. The
+// worker reports a failure in err, with the reader's offset at the
 // failure in at; the coordinator reads both after the barrier.
 type phaseJob struct {
-	ctx      context.Context
-	r        *trace.Reader
-	keep     func(pid uint32) bool
-	noRanges func(pid uint32) bool
-	batch    int // decode buffer size, in events
-	wg       *sync.WaitGroup
-	err      error
-	at       uint64
+	ctx   context.Context
+	r     *trace.Reader
+	keep  func(pid uint32) bool
+	batch int // decode buffer size, in events
+	wg    *sync.WaitGroup
+	err   error
+	at    uint64
 }
 
 // worker owns one shard: a bounded SPSC job queue feeding a private
@@ -53,6 +53,7 @@ type worker struct {
 	idx  int
 	q    *ring.Ring[job]
 	tr   *core.Tracker
+	pm   PipelineMetrics
 	done chan struct{}
 	buf  []cpu.Event // shard-owned decode buffer, reused across phases
 
@@ -72,11 +73,12 @@ type worker struct {
 	droppedBatches uint64
 }
 
-func newWorker(idx int, tr *core.Tracker, queueDepth, maxRestarts int) *worker {
+func newWorker(idx int, tr *core.Tracker, pm PipelineMetrics, queueDepth, maxRestarts int) *worker {
 	return &worker{
 		idx:         idx,
 		q:           ring.New[job](queueDepth),
 		tr:          tr,
+		pm:          pm,
 		done:        make(chan struct{}),
 		maxRestarts: maxRestarts,
 	}
@@ -87,7 +89,7 @@ func newWorker(idx int, tr *core.Tracker, queueDepth, maxRestarts int) *worker {
 // done on the inflight WaitGroup — the quiesce barrier Sync waits on. A
 // failed worker keeps draining — discarding further batches — so the
 // dispatcher's bounded sends can never hang on a dead consumer.
-func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.WaitGroup, pm PipelineMetrics) {
+func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.WaitGroup) {
 	defer close(w.done)
 	for {
 		j, ok := w.q.Pop()
@@ -95,13 +97,13 @@ func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.W
 			return
 		}
 		if j.phase != nil {
-			w.runPhase(j.phase, obs, pm)
+			w.runPhase(j.phase, obs)
 			continue
 		}
-		w.process(j.batch, obs, pm)
+		w.process(j.batch, obs)
 		b := j.batch[:0]
 		pool.Put(&b)
-		pm.QueueDepth.Dec()
+		w.pm.QueueDepth.Dec()
 		inflight.Done()
 	}
 }
@@ -109,14 +111,20 @@ func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.W
 // runPhase consumes one shard-owned phase: the worker reads the phase's
 // events in trace order, keeps its own PIDs' events, and analyzes each
 // decoded batch in place. Fault policy is identical to push mode — the
-// batches flow through the same process() path, restart budget and all.
-// Cancellation is checked once per batch.
-func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pm PipelineMetrics) {
+// batches flow through the same process() path, restart budget and all,
+// and so do the counts of a projected read (Count). Cancellation is
+// checked once per batch.
+func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event)) {
 	defer ph.wg.Done()
 	if cap(w.buf) < ph.batch {
 		w.buf = make([]cpu.Event, ph.batch)
 	}
 	buf := w.buf[:ph.batch]
+	// An Observer must see every event, so it turns projection off.
+	var proj trace.Projector
+	if obs == nil {
+		proj = w
+	}
 	done := ph.ctx.Done()
 	for {
 		if done != nil {
@@ -127,12 +135,12 @@ func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pm PipelineMet
 			default:
 			}
 		}
-		n, err := ph.r.NextBatchProject(buf, ph.keep, ph.noRanges)
+		n, err := ph.r.NextBatchProject(buf, ph.keep, proj)
 		if n > 0 {
-			pm.EventsDispatched.Add(uint64(n))
-			pm.BatchesDispatched.Inc()
-			pm.BatchEvents.Observe(float64(n))
-			w.process(buf[:n], obs, pm)
+			w.pm.EventsDispatched.Add(uint64(n))
+			w.pm.BatchesDispatched.Inc()
+			w.pm.BatchEvents.Observe(float64(n))
+			w.process(buf[:n], obs)
 		}
 		if err == io.EOF {
 			return
@@ -150,15 +158,14 @@ func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pm PipelineMet
 // exhausts the budget fails the shard: the rest of this batch and every
 // later one are discarded and counted, never analyzed against the suspect
 // tracker state.
-func (w *worker) process(batch []cpu.Event, obs func(int, cpu.Event), pm PipelineMetrics) {
+func (w *worker) process(batch []cpu.Event, obs func(int, cpu.Event)) {
 	if w.failed {
 		w.droppedBatches++
-		w.droppedEvents += uint64(len(batch))
-		pm.DroppedEvents.Add(uint64(len(batch)))
+		w.drop(uint64(len(batch)))
 		return
 	}
 	var start time.Time
-	if pm.BatchSeconds != nil {
+	if w.pm.BatchSeconds != nil {
 		start = time.Now()
 	}
 	for off := 0; off < len(batch); {
@@ -168,23 +175,78 @@ func (w *worker) process(batch []cpu.Event, obs func(int, cpu.Event), pm Pipelin
 		}
 		// batch[off+n] panicked. Spend one unit of restart budget to skip
 		// it and resume, or fail the shard if the budget is gone.
-		pm.WorkerPanics.Inc()
-		w.panics++
-		if w.panics > w.maxRestarts {
-			w.failed = true
-			dropped := uint64(len(batch) - off - n) // the poisonous event and everything after it
-			w.droppedEvents += dropped
-			pm.DroppedEvents.Add(dropped)
-			pm.ShardFailures.Inc()
+		if w.panicked() {
+			w.drop(uint64(len(batch) - off - n)) // the poisonous event and everything after it
 			return
 		}
-		pm.WorkerRestarts.Inc()
-		w.droppedEvents++
-		pm.DroppedEvents.Add(1)
+		w.drop(1)
 		off += n + 1
 	}
-	if pm.BatchSeconds != nil {
-		pm.BatchSeconds.Observe(time.Since(start).Seconds())
+	if w.pm.BatchSeconds != nil {
+		w.pm.BatchSeconds.Observe(time.Since(start).Seconds())
+	}
+}
+
+// Quiet implements trace.Projector for a phase read projected: the
+// reader may count pid's loads and stores in the block it has reached
+// when the tracker, which has applied every event before the block,
+// answers quiet. A failed shard discards what it reads, and counts none
+// of it.
+func (w *worker) Quiet(pid uint32) bool { return !w.failed && w.tr.Quiet(pid) }
+
+// Count implements trace.Projector: it applies a block's loads and
+// stores of pid, which the reader counted instead of delivering, under
+// the restart policy of process, with the count as the poisonous unit.
+// A count the tracker refuses (pid is not quiet) is a shard fault, and
+// its events are dropped.
+func (w *worker) Count(pid uint32, loads, stores uint64) {
+	n := loads + stores
+	w.pm.EventsDispatched.Add(n)
+	if !w.failed {
+		if w.countQuiet(pid, loads, stores) {
+			return
+		}
+		w.panicked()
+	}
+	w.drop(n)
+}
+
+// countQuiet applies a count, reporting false if the tracker panicked.
+func (w *worker) countQuiet(pid uint32, loads, stores uint64) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.noteErr(r)
+			ok = false
+		}
+	}()
+	w.tr.CountQuiet(pid, loads, stores)
+	return true
+}
+
+// panicked spends one unit of restart budget on a recovered panic, or
+// fails the shard when the budget is gone, and reports whether it did.
+func (w *worker) panicked() bool {
+	w.pm.WorkerPanics.Inc()
+	w.panics++
+	if w.panics > w.maxRestarts {
+		w.failed = true
+		w.pm.ShardFailures.Inc()
+		return true
+	}
+	w.pm.WorkerRestarts.Inc()
+	return false
+}
+
+// drop counts n events discarded to a fault.
+func (w *worker) drop(n uint64) {
+	w.droppedEvents += n
+	w.pm.DroppedEvents.Add(n)
+}
+
+// noteErr keeps the first recovered panic for the fault report.
+func (w *worker) noteErr(r any) {
+	if w.firstErr == nil {
+		w.firstErr = fmt.Errorf("pipeline: worker %d panicked: %v", w.idx, r)
 	}
 }
 
@@ -198,9 +260,7 @@ func (w *worker) process(batch []cpu.Event, obs func(int, cpu.Event), pm Pipelin
 func (w *worker) consume(evs []cpu.Event, obs func(int, cpu.Event)) (n int, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if w.firstErr == nil {
-				w.firstErr = fmt.Errorf("pipeline: worker %d panicked: %v", w.idx, r)
-			}
+			w.noteErr(r)
 			if obs == nil {
 				n = w.tr.BatchCursor()
 			}

@@ -68,13 +68,14 @@ func FuzzReadFrom(f *testing.F) {
 // plain read's events, filtered. Pipeline.DrainTrace's lowest-offset
 // error rule rests on this.
 //
-// Each filtered read is then repeated projected: the same PIDs kept, half
-// of them without their ranges. It must return the filtered read's
-// events, with ProjectedRange on exactly the events of those PIDs in the
-// PIFTTRC2 blocks where the PID registers no source, and end as the
-// filtered read does, except past a failure in a range column, whose
-// values a projected read does not check. DrainTrace's projected drain
-// rests on this.
+// Each filtered read is then repeated projected: the same PIDs kept, and
+// half of them counted when the reader may. Its events must be the
+// filtered read's, minus the loads and stores of each PID it counts in a
+// PIFTTRC2 block where the PID registers no source, whose sink checks
+// carry ProjectedRange; each count must be those loads and stores; and it
+// must end as the filtered read does, except past a failure in a range
+// column, whose values a projected read does not check. DrainTrace's
+// projected drain rests on this.
 func FuzzDecodeV2(f *testing.F) {
 	good := randomTrace(300, 3)
 	var buf bytes.Buffer
@@ -252,49 +253,104 @@ func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr e
 // varint in one, or a range leaving the address space.
 var rangeColumnFailure = regexp.MustCompile(`range[- ](start|length|end)`)
 
+// blockPID names one PID's events in one PIFTTRC2 block, by the block's
+// end.
+type blockPID struct {
+	block uint64
+	pid   uint32
+}
+
+// memCount is one PID's loads and stores in one block.
+type memCount struct{ loads, stores uint64 }
+
+// countRecorder is a Projector that answers quiet by a predicate and
+// files each count under the block its reader has reached.
+type countRecorder struct {
+	r      *Reader
+	quiet  func(pid uint32) bool
+	counts map[blockPID]memCount
+}
+
+func (c *countRecorder) Quiet(pid uint32) bool { return c.quiet(pid) }
+
+func (c *countRecorder) Count(pid uint32, loads, stores uint64) {
+	bp := blockPID{c.r.blockEnd, pid}
+	m := c.counts[bp]
+	c.counts[bp] = memCount{m.loads + loads, m.stores + stores}
+}
+
 // checkProjectedRead repeats the pid%2 == k read of data projected, the
-// PIDs with pid/2 even kept without their ranges, and holds it to the
-// filtered read filt.
+// PIDs with pid/2 even answered quiet, and holds it to the filtered read
+// filt.
 func checkProjectedRead(t *testing.T, data []byte, k uint32, filt readResult) {
 	t.Helper()
 	keep := func(pid uint32) bool { return pid%2 == k }
-	noRanges := func(pid uint32) bool { return pid/2%2 == 0 }
+	rec := &countRecorder{quiet: func(pid uint32) bool { return pid/2%2 == 0 }, counts: map[blockPID]memCount{}}
 	var v2 bool
 	proj := readAll(t, data, 29, func(r *Reader, dst []cpu.Event) (int, error) {
-		v2 = r.Format() == FormatV2
-		return r.NextBatchProject(dst, keep, noRanges)
+		v2, rec.r = r.Format() == FormatV2, r
+		return r.NextBatchProject(dst, keep, rec)
 	})
-	type blockPID struct {
-		block uint64
-		pid   uint32
-	}
 	sources := map[blockPID]bool{}
 	for i, ev := range filt.events {
 		if ev.Kind == cpu.EvSourceRegister {
 			sources[blockPID{filt.blocks[i], ev.PID}] = true
 		}
 	}
-	for i, want := range filt.events[:min(len(filt.events), len(proj.events))] {
-		if v2 && noRanges(want.PID) && !sources[blockPID{filt.blocks[i], want.PID}] {
-			want.Range = ProjectedRange
+	// The filtered read's events, counted where the projected read counts.
+	var want []cpu.Event
+	counts := map[blockPID]memCount{}
+	for i, ev := range filt.events {
+		bp := blockPID{filt.blocks[i], ev.PID}
+		if v2 && rec.quiet(ev.PID) && !sources[bp] {
+			m := counts[bp]
+			switch ev.Kind {
+			case cpu.EvLoad:
+				m.loads++
+			case cpu.EvStore:
+				m.stores++
+			default:
+				ev.Range = ProjectedRange
+				want = append(want, ev)
+			}
+			counts[bp] = m
+			continue
 		}
-		if proj.events[i] != want {
-			t.Fatalf("pid%%2==%d projected read event %d is %+v, want %+v", k, i, proj.events[i], want)
+		want = append(want, ev)
+	}
+	for i, w := range want[:min(len(want), len(proj.events))] {
+		if proj.events[i] != w {
+			t.Fatalf("pid%%2==%d projected read event %d is %+v, want %+v", k, i, proj.events[i], w)
+		}
+	}
+	// Every block the filtered read got through ends at or before its
+	// final Offset; the projected read may count past a range-column
+	// failure.
+	for bp, m := range rec.counts {
+		if bp.block <= filt.at && counts[bp] != m {
+			t.Fatalf("pid%%2==%d projected read counted %+v of PID %d in the block ending at %d, the filtered read holds %+v",
+				k, m, bp.pid, bp.block, counts[bp])
+		}
+	}
+	for bp, m := range counts {
+		if m != (memCount{}) && rec.counts[bp] != m {
+			t.Fatalf("pid%%2==%d projected read counted %+v of PID %d in the block ending at %d, the filtered read holds %+v",
+				k, rec.counts[bp], bp.pid, bp.block, m)
 		}
 	}
 	switch {
 	case filt.err == io.EOF:
-		if proj.err != io.EOF || proj.at != filt.at || len(proj.events) != len(filt.events) {
+		if proj.err != io.EOF || proj.at != filt.at || len(proj.events) != len(want) {
 			t.Fatalf("pid%%2==%d filtered read clean at %d; projected read ended with %v at %d after %d of %d events",
-				k, filt.at, proj.err, proj.at, len(proj.events), len(filt.events))
+				k, filt.at, proj.err, proj.at, len(proj.events), len(want))
 		}
 	case proj.err != io.EOF && proj.at == filt.at:
-		if !sameSentinel(proj.err, filt.err) || len(proj.events) != len(filt.events) {
+		if !sameSentinel(proj.err, filt.err) || len(proj.events) != len(want) {
 			t.Fatalf("pid%%2==%d at %d: projected read failed with %v after %d events, filtered read with %v after %d",
-				k, filt.at, proj.err, len(proj.events), filt.err, len(filt.events))
+				k, filt.at, proj.err, len(proj.events), filt.err, len(want))
 		}
 	case proj.err == io.EOF || proj.at > filt.at:
-		if !rangeColumnFailure.MatchString(filt.err.Error()) || len(proj.events) < len(filt.events) {
+		if !rangeColumnFailure.MatchString(filt.err.Error()) || len(proj.events) < len(want) {
 			t.Fatalf("pid%%2==%d projected read ran past the filtered read's failure at %d (%v) to %v at %d",
 				k, filt.at, filt.err, proj.err, proj.at)
 		}

@@ -184,47 +184,66 @@ func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int
 	return d.nextBatch(dst, keeper{keep: keep})
 }
 
-// ProjectedRange is the range of an event read without its ranges. Its
-// end lies below its start, which no decoder produces for an event it
-// reads whole.
+// ProjectedRange is the range of a sink check read without its ranges.
+// Its end lies below its start, which no decoder produces for an event
+// it reads whole.
 var ProjectedRange = mem.Range{Start: 1, End: 0}
 
-// NextBatchProject is NextBatchKeep that may also leave ranges out: in a
-// PIFTTRC2 block the reader covers whole, the events of a kept PID that
-// noRanges accepts (asked once per PID per block) are copied with
-// ProjectedRange, their range-start and range-length values stepped over
-// as a rejected run's are — unless one of the PID's events in the block
-// is a source registration, which the decoder learns from the kind
-// column it decodes first; such a PID is kept whole. A nil noRanges is
-// NextBatchKeep. A column stepped over gets the checks a rejected run
-// gets, of its structure, alignment, CRC and the block's trailing bytes,
-// and none of its values. So a projected read fails where the filtered
+// A Projector tells a projected read which kept processes it may count
+// instead of deliver, and receives the counts.
+type Projector interface {
+	// Quiet reports whether the read may count pid's loads and stores in
+	// the block it has reached. It is asked once per kept PID per block,
+	// before the reader delivers any of the block's events.
+	Quiet(pid uint32) bool
+	// Count receives the loads and stores of pid that the read counted
+	// in one block, once the whole block has decoded cleanly and before
+	// any of the block's events is delivered.
+	Count(pid uint32, loads, stores uint64)
+}
+
+// NextBatchProject is NextBatchKeep that may count what it would
+// deliver: in a PIFTTRC2 block the reader covers whole, a kept PID that
+// p answers Quiet for, and that registers no source in the block, has
+// its loads and stores reported to p.Count as two numbers instead of
+// copied into dst. Only its sink checks are copied, in stream order among
+// the other kept events, with ProjectedRange; its range-start and
+// range-length values are stepped over as a rejected run's are. A PID
+// with a source registration anywhere in the block, which the decoder
+// learns from the kind column it decodes first, is kept whole in every
+// run. A nil p is NextBatchKeep.
+//
+// A counted run's kind/tag and seq values are decoded and checked like a
+// kept run's. Its range columns get the checks a rejected run gets, of
+// their structure, alignment, CRC and the block's trailing bytes, and
+// none of their values. So a projected read fails where the filtered
 // read with the same keep fails, with the same sentinel at the same
 // Offset, except that a malformed or out-of-address-space value in a
-// column it steps over goes unreported. PIFTTRC1 records, and the
+// range column it steps over goes unreported. PIFTTRC1 records, and the
 // PIFTTRC2 blocks a segment reader enters or leaves inside, are read
-// whole, and noRanges is not asked there.
-func (d *Reader) NextBatchProject(dst []cpu.Event, keep, noRanges func(pid uint32) bool) (int, error) {
-	return d.nextBatch(dst, keeper{keep: keep, noRanges: noRanges})
+// whole, and p is not asked there.
+func (d *Reader) NextBatchProject(dst []cpu.Event, keep func(pid uint32) bool, p Projector) (int, error) {
+	return d.nextBatch(dst, keeper{keep: keep, proj: p})
 }
 
 // keepMode is what a read does with one PID's events in one block.
 type keepMode uint8
 
 const (
-	reject       keepMode = iota // step over the events
-	keepNoRanges                 // keep them, stepping over their range columns
-	keepWhole                    // keep them whole
+	reject      keepMode = iota // step over the events
+	keepCounted                 // count its loads and stores, keep its sink checks without ranges
+	keepWhole                   // keep them whole
 )
 
 // keeper is a read's per-PID decision: the PIDs it keeps (nil keeps
-// all) and those it may keep without ranges (nil: none).
+// all) and the projector that may have some of them counted (nil: none).
 type keeper struct {
-	keep, noRanges func(pid uint32) bool
+	keep func(pid uint32) bool
+	proj Projector
 }
 
 // all reports whether the read keeps every event whole.
-func (k keeper) all() bool { return k.keep == nil && k.noRanges == nil }
+func (k keeper) all() bool { return k.keep == nil && k.proj == nil }
 
 // keeps reports whether the read keeps pid's events.
 func (k keeper) keeps(pid uint32) bool { return k.keep == nil || k.keep(pid) }
@@ -234,8 +253,8 @@ func (k keeper) mode(pid uint32) keepMode {
 	switch {
 	case !k.keeps(pid):
 		return reject
-	case k.noRanges != nil && k.noRanges(pid):
-		return keepNoRanges
+	case k.proj != nil && k.proj.Quiet(pid):
+		return keepCounted
 	}
 	return keepWhole
 }

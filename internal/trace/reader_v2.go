@@ -11,9 +11,9 @@ import (
 
 // The PIFTTRC2 decode path. A v2 Reader decodes one block at a time into
 // a reused scratch slice (d.pending) and serves Next/NextBatch/
-// NextBatchKeep out of it, so after the first block grows the scratch the
-// steady state allocates nothing — the same contract the v1 batch path
-// has. Because blocks are self-contained, a reader positioned mid-block (a
+// NextBatchKeep/NextBatchProject out of it, so after the first block
+// grows the scratch the steady state allocates nothing — the same
+// contract the v1 batch path has. Because blocks are self-contained, a reader positioned mid-block (a
 // segment reader, or a resume Skip landing inside a block) decodes its
 // containing block and discards the prefix; the extra work is bounded by
 // one block per segment boundary.
@@ -50,9 +50,10 @@ func (d *Reader) readBlockHeader() (first uint64, bcount, clen int, crc uint32, 
 // mid-block for segment readers) to the reader's logical end or the
 // block's, whichever comes first, whose PIDs k keeps. A block that the
 // reader's range covers whole is decoded under k, stepping over rejected
-// runs and projected range columns; a block the range enters or leaves
-// inside — a segment edge — is decoded whole and filtered by index, as a
-// plain segment reader decodes it.
+// runs and counting the loads and stores of the processes k's projector
+// answers quiet for, which it reports once the block has decoded; a
+// block the range enters or leaves inside — a segment edge — is decoded
+// whole and filtered by index, as a plain segment reader decodes it.
 func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, k keeper) error {
 	if cap(d.buf) < clen {
 		d.buf = make([]byte, clen)
@@ -96,6 +97,9 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32, k keeper)
 	d.pending = d.pending[:n]
 	d.blockEnd = end
 	d.nextBlock = first + uint64(bcount)
+	if blockKeep.proj != nil {
+		d.sc.report(blockKeep.proj)
+	}
 	return nil
 }
 

@@ -242,29 +242,48 @@ func getUvarint(b []byte, i int) (uint64, int) {
 }
 
 // decScratch is a block decoder's reusable working state: the decoded
-// PID dictionary, each entry's keep decision, the run column (rejected
-// runs coalesced), the run list of the range columns, the PIDs kept
-// whole for their source registrations, and the per-PID delta chains.
+// PID dictionary with each entry's keep decision, the run column
+// (rejected runs coalesced), the run list of the range columns, the sink
+// checks of counted runs, the PIDs of counted runs that register a
+// source, and per dictionary entry the delta chains and the counts.
 type decScratch struct {
 	pids    []uint32
 	mode    []keepMode
+	counts  []entryCount
 	runs    []blockRun
 	ranges  []blockRun
+	sinks   []sinkSlot
 	sources []uint32
 	seq     []uint64
 	start   []int64
 }
 
-// blockRun is one entry of a decoded run column: n consecutive events of
-// dictionary entry id, decoded into dst from index at, or, when skip is
-// set, n consecutive events the decoder only steps over (rejected runs,
-// and for the range columns also runs kept without ranges), coalesced.
-type blockRun struct {
-	id   uint16
-	skip bool
-	n    uint32
-	at   uint32
+// entryCount is what a counted dictionary entry holds in one block: its
+// memory accesses, the stores among them, and the index in the run list
+// of its last run with a sink check (-1: none), past which no sink needs
+// its seq chain.
+type entryCount struct {
+	mem, stores uint64
+	lastSink    int
 }
+
+// blockRun is one entry of a decoded run column: n consecutive events of
+// dictionary entry id, or, when skip is set, n consecutive events the
+// decoder only steps over (rejected runs, and for the range columns also
+// counted runs), coalesced. A kept run is decoded into dst from index
+// at; a counted run holds sinks sink checks, listed in order in
+// decScratch.sinks.
+type blockRun struct {
+	id    uint16
+	skip  bool
+	n     uint32
+	at    uint32
+	sinks uint32
+}
+
+// sinkSlot is one sink check of a counted run: its index k in the run
+// and its slot at in dst.
+type sinkSlot struct{ k, at uint32 }
 
 // appendSkip adds n stepped-over events to runs, coalescing them into
 // the last entry when that one is stepped over too.
@@ -319,18 +338,39 @@ func skipUvarints(b []byte, i, n int) int {
 	return i
 }
 
+// checkUvarints returns the index just past the n uvarints that start at
+// b[i], or -1 when one is malformed or b ends first: skipUvarints for
+// values that nothing reads but that must be well formed. Checking is
+// cheaper than decoding: a word whose eight bytes carry no continuation
+// bit holds eight one-byte uvarints.
+func checkUvarints(b []byte, i, n int) int {
+	const hi = 0x8080808080808080
+	for n > 0 && i >= 0 {
+		if n >= 8 && i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:])&hi == 0 {
+			i, n = i+8, n-8
+		} else if i < len(b) && b[i] < 0x80 {
+			i, n = i+1, n-1
+		} else {
+			_, i = getUvarint(b, i)
+			n--
+		}
+	}
+	return i
+}
+
 // decodeBlockPayload decodes a verified (CRC-checked) block payload of
 // len(dst) events. It decodes the runs of the PIDs k keeps, packed into
 // the front of dst in stream order, and steps over the rest; a plain
-// keeper decodes every event. A PID k keeps without ranges whose events
-// hold no source registration gets ProjectedRange instead of its range
-// columns. It returns how many events it wrote. first is the block's
-// absolute first event index, used only for error reporting. Every structural
-// impossibility — dictionary indexes out of range, runs not summing to
-// the count, trailing or missing bytes — and, for the values it decodes,
-// every malformed varint and every accumulated range leaving uint32 is
-// ErrCorrupt: the bytes arrived intact-length and CRC-clean but cannot
-// be a block this package wrote.
+// keeper decodes every event. Of a PID k counts (keepCounted) it puts
+// only the sink checks into dst, with ProjectedRange, and adds its loads
+// and stores up in sc.counts, unless the PID registers a source in the
+// block, which keeps it whole. It returns how many events it wrote.
+// first is the block's absolute first event index, used only for error
+// reporting. Every structural impossibility — dictionary indexes out of
+// range, runs not summing to the count, trailing or missing bytes — and,
+// for the values it decodes or counts, every malformed varint and every
+// accumulated range leaving uint32 is ErrCorrupt: the bytes arrived
+// intact-length and CRC-clean but cannot be a block this package wrote.
 func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decScratch, k keeper) (int, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("trace: block at event %d: %w: %s", first, ErrCorrupt, what)
@@ -342,10 +382,11 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 	if cap(sc.pids) < int(ndict) {
 		sc.pids = make([]uint32, ndict)
 		sc.mode = make([]keepMode, ndict)
+		sc.counts = make([]entryCount, ndict)
 	}
 	pids, mode := sc.pids[:ndict], sc.mode[:ndict]
-	sc.pids, sc.mode = pids, mode
-	projected := false
+	sc.pids, sc.mode, sc.counts = pids, mode, sc.counts[:ndict]
+	counted := false
 	for e := range pids {
 		var v uint64
 		v, i = getUvarint(payload, i)
@@ -354,12 +395,10 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 		}
 		pids[e] = uint32(v)
 		mode[e] = k.mode(uint32(v))
-		projected = projected || mode[e] == keepNoRanges
+		counted = counted || mode[e] == keepCounted
 	}
-	// The run column: kept runs fill in their events' PIDs, rejected
-	// neighbours coalesce into one step.
+	// The run column, rejected neighbours coalesced into one step.
 	runs := sc.runs[:0]
-	out := 0
 	for filled := 0; filled < len(dst); {
 		var id, n uint64
 		id, i = getUvarint(payload, i)
@@ -370,34 +409,33 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 		filled += int(n)
 		if mode[id] == reject {
 			runs = appendSkip(runs, uint32(n))
-			continue
-		}
-		run := dst[out : out+int(n)]
-		pid := pids[id]
-		if mode[id] == keepNoRanges {
-			// A run kept whole after all decodes its ranges over this.
-			for e := range run {
-				run[e].PID, run[e].Range = pid, ProjectedRange
-			}
 		} else {
-			for e := range run {
-				run[e].PID = pid
-			}
+			runs = append(runs, blockRun{id: uint16(id), n: uint32(n)})
 		}
-		runs = append(runs, blockRun{id: uint16(id), n: uint32(n), at: uint32(out)})
-		out += int(n)
 	}
 	sc.runs = runs
 	sc.seq = resetU64(sc.seq, int(ndict))
 	sc.start = resetI64(sc.start, int(ndict))
-	sc.sources = sc.sources[:0]
-	i, what := decodeColumns(payload, i, 0, 2, runs, dst, sc)
-	if i >= 0 && projected {
-		runs = sc.rangeRuns(runs)
+	kinds := i
+	out, i := sc.kindColumn(payload, kinds, dst)
+	if i >= 0 && len(sc.sources) > 0 {
+		// Taint enters a process only through its own source
+		// registration, so a counted PID with one in the block is kept
+		// whole, in every dictionary entry that names it, and the block
+		// is laid out again without counting it.
+		sc.demote()
+		out, i = sc.kindColumn(payload, kinds, dst)
 	}
-	if i >= 0 {
-		i, what = decodeColumns(payload, i, 2, 4, runs, dst, sc)
+	if i < 0 {
+		return 0, corrupt("bad kind/tag column")
 	}
+	if i = sc.seqColumn(payload, i, dst); i < 0 {
+		return 0, corrupt("bad seq column")
+	}
+	if counted {
+		runs = sc.rangeRuns()
+	}
+	i, what := rangeColumns(payload, i, runs, dst, sc.start)
 	if i < 0 {
 		return 0, corrupt(what)
 	} else if i != len(payload) {
@@ -406,28 +444,189 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 	return out, nil
 }
 
-// rangeRuns settles the keepNoRanges entries once the kind column is
-// decoded, with sc.sources holding the PIDs of the keepNoRanges runs that
-// register a source, and returns the run list of the two range columns.
-// Taint enters a process only through its own source registration, so a
-// PID with one among its events in the block is kept whole, in every
-// dictionary entry that names it. The other keepNoRanges runs are
-// stepped over, coalesced with their stepped-over neighbours.
-func (sc *decScratch) rangeRuns(runs []blockRun) []blockRun {
-	if len(sc.sources) > 0 {
-		slices.Sort(sc.sources)
-		for e, m := range sc.mode {
-			if m != keepNoRanges {
-				continue
-			}
-			if _, src := slices.BinarySearch(sc.sources, sc.pids[e]); src {
-				sc.mode[e] = keepWhole
-			}
+// demote keeps whole, in every dictionary entry that names it, each
+// counted PID in sc.sources.
+func (sc *decScratch) demote() {
+	slices.Sort(sc.sources)
+	for e, m := range sc.mode {
+		if m != keepCounted {
+			continue
+		}
+		if _, src := slices.BinarySearch(sc.sources, sc.pids[e]); src {
+			sc.mode[e] = keepWhole
 		}
 	}
+}
+
+// report hands each counted entry's loads and stores to p.
+func (sc *decScratch) report(p Projector) {
+	for e, c := range sc.counts {
+		if sc.mode[e] == keepCounted && c.mem > 0 {
+			p.Count(sc.pids[e], c.mem-c.stores, c.stores)
+		}
+	}
+}
+
+// kindColumn decodes the kind/tag column from payload[i] and lays the
+// block's kept events out in dst in stream order: a kept run's events
+// from the run's slot at, with their PIDs, kinds and tags, and a counted
+// run's sink checks, while its loads and stores go to its entry's count.
+// A counted run that registers a source adds its PID to sc.sources. It
+// returns how many events it laid out and the index past the column, or
+// -1.
+func (sc *decScratch) kindColumn(payload []byte, i int, dst []cpu.Event) (int, int) {
+	sc.sinks, sc.sources = sc.sinks[:0], sc.sources[:0]
+	for e := range sc.counts {
+		sc.counts[e] = entryCount{lastSink: -1}
+	}
+	out := 0
+	for ri := range sc.runs {
+		r := &sc.runs[ri]
+		switch {
+		case r.skip:
+			i = skipUvarints(payload, i, int(r.n))
+		case sc.mode[r.id] == keepWhole:
+			r.at = uint32(out)
+			i = kindTagRun(payload, i, dst[out:out+int(r.n)], sc.pids[r.id])
+			out += int(r.n)
+		default:
+			sinks := len(sc.sinks)
+			i, out = sc.countRun(payload, i, ri, dst, out)
+			r.sinks = uint32(len(sc.sinks) - sinks)
+		}
+		if i < 0 {
+			return 0, -1
+		}
+	}
+	return out, i
+}
+
+// countRun steps over the kind/tag values of the counted run sc.runs[ri]
+// from payload[i], checking each. It adds the run's loads and stores to
+// its entry's count, lays its sink checks out in dst from slot out, and
+// notes a source registration. It returns the index past the run's
+// values, or -1, and the next free slot of dst.
+func (sc *decScratch) countRun(payload []byte, i, ri int, dst []cpu.Event, out int) (int, int) {
+	r := sc.runs[ri]
+	c := &sc.counts[r.id]
+	n := int(r.n)
+	for k := 0; ; k++ {
+		next, m, stores := countMem(payload, i, n-k)
+		i, k = next, k+m
+		c.mem += uint64(m)
+		c.stores += stores
+		if k == n {
+			return i, out
+		}
+		// A sink check, a source registration, or a load or store whose
+		// value takes more than one byte.
+		var v uint64
+		if v, i = getUvarint(payload, i); i < 0 {
+			return -1, out
+		}
+		switch cpu.EventKind(v & 3) {
+		case cpu.EvSinkCheck:
+			dst[out] = cpu.Event{Kind: cpu.EvSinkCheck, PID: sc.pids[r.id], Range: ProjectedRange, Tag: int(unzigzag(v >> 2))}
+			sc.sinks = append(sc.sinks, sinkSlot{k: uint32(k), at: uint32(out)})
+			c.lastSink = ri
+			out++
+		case cpu.EvSourceRegister:
+			sc.sources = append(sc.sources, sc.pids[r.id])
+		default:
+			c.mem++
+			c.stores += v & 1
+		}
+	}
+}
+
+// countMem steps over the leading one-byte load and store values among
+// the n kind/tag values from b[i] (i >= 0), eight per load while a word
+// holds neither a continuation bit nor a kind with bit 1 set (a source
+// or a sink), and returns the index past them, how many there were and
+// how many of them are stores. A load's kind is 0 and a store's 1, so
+// the stores are the sum of the kinds' low bits, which costs no branch
+// on the program's random mix of the two.
+func countMem(b []byte, i, n int) (int, int, uint64) {
+	const (
+		lo   = 0x0101010101010101
+		rare = 0x8282828282828282
+	)
+	m := 0
+	var stores uint64
+	for ; m+8 <= n && i+8 <= len(b); m, i = m+8, i+8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if w&rare != 0 {
+			break
+		}
+		stores += (w & lo) * lo >> 56
+	}
+	for ; m < n && i < len(b) && b[i]&0x82 == 0; m, i = m+1, i+1 {
+		stores += uint64(b[i] & 1)
+	}
+	return i, m, stores
+}
+
+// seqColumn decodes the seq column from payload[i]. A kept run's deltas
+// continue its entry's chain (sc.seq, zero at the block start) into its
+// events, and the chain is stored back at the run's end. A counted run's
+// deltas are checked, and summed only as far as a sink check of its
+// entry needs the chain: into the run's own sink checks, and through the
+// whole run when a later run of the entry holds one. It returns the
+// index past the column, or -1.
+func (sc *decScratch) seqColumn(payload []byte, i int, dst []cpu.Event) int {
+	seq, sinks := sc.seq, sc.sinks
+	for ri, r := range sc.runs {
+		switch {
+		case r.skip:
+			i = skipUvarints(payload, i, int(r.n))
+		case sc.mode[r.id] == keepWhole:
+			i, seq[r.id] = seqRun(payload, i, dst[r.at:r.at+r.n], seq[r.id])
+		default:
+			done := 0
+			for _, s := range sinks[:r.sinks] {
+				if i, seq[r.id] = seqSum(payload, i, int(s.k)+1-done, seq[r.id]); i < 0 {
+					return -1
+				}
+				dst[s.at].Seq = seq[r.id]
+				done = int(s.k) + 1
+			}
+			sinks = sinks[r.sinks:]
+			if ri < sc.counts[r.id].lastSink {
+				i, seq[r.id] = seqSum(payload, i, int(r.n)-done, seq[r.id])
+			} else {
+				i = checkUvarints(payload, i, int(r.n)-done)
+			}
+		}
+		if i < 0 {
+			return -1
+		}
+	}
+	return i
+}
+
+// seqSum adds n zigzagged seq deltas from payload[i] to seq, checking
+// each, and returns the index past them, or -1 if one is malformed, and
+// the sum.
+func seqSum(payload []byte, i, n int, seq uint64) (int, uint64) {
+	for ; n > 0 && i >= 0; n-- {
+		var v uint64
+		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
+			v = uint64(payload[i])
+			i++
+		} else {
+			v, i = getUvarint(payload, i)
+		}
+		seq += uint64(unzigzag(v))
+	}
+	return i, seq
+}
+
+// rangeRuns returns the run list of the two range columns: the counted
+// runs are stepped over, coalesced with their stepped-over neighbours.
+func (sc *decScratch) rangeRuns() []blockRun {
 	ranges := sc.ranges[:0]
-	for _, r := range runs {
-		if r.skip || sc.mode[r.id] == keepNoRanges {
+	for _, r := range sc.runs {
+		if r.skip || sc.mode[r.id] == keepCounted {
 			ranges = appendSkip(ranges, r.n)
 		} else {
 			ranges = append(ranges, r)
@@ -437,72 +636,62 @@ func (sc *decScratch) rangeRuns(runs []blockRun) []blockRun {
 	return ranges
 }
 
-// decodeColumns decodes the data columns from through to-1 (0 kind/tag,
-// 1 seq, 2 range start, 3 range length), which follow one another from
+// rangeColumns decodes the range-start and range-length columns from
 // payload[i], walking the runs once per column: a skip run is stepped
 // over whole, and a kept run's slots of dst go to the column's run
-// decoder. The seq and range-start deltas chain per PID, so a run
-// continues its PID's chain (sc.seq[id], sc.start[id], zero at the block
-// start) and the chain is stored back at the run's end. A keepNoRanges
-// run that registers a source adds its PID to sc.sources. It returns the
-// index past the last column, or -1 and what was wrong.
-//
-// A run decoder is a separate function so that its loop, like a flat
-// loop over the block, keeps its counter and value in registers; it
-// returns -1 on a malformed varint and, for the range columns, false on
-// a range outside the address space. getUvarint is too big for the
-// inliner (cost ~127 vs the 80 budget), and a non-inlined call per
-// column per event is most of the decode cost, so each run decoder
-// carries 1/2/3-byte fast paths inline — the uint(i)+k < uint(len)
-// compares both guard the loads and eliminate the bounds checks, and
-// three bytes cover every varint the per-PID delta chains produce in
-// practice (a 64 KiB-arena start delta zigzags into 17 bits) — with only
-// longer or payload-end varints taking the call. Each later branch is
-// only reached with the previous bytes' continuation bits set, so the
-// masks are exact.
-func decodeColumns(payload []byte, i, from, to int, runs []blockRun, dst []cpu.Event, sc *decScratch) (int, string) {
-	names := [...]string{"kind/tag", "seq", "range-start", "range-length"}
-	seq, start := sc.seq, sc.start
-	for col := from; col < to; col++ {
-		for _, r := range runs {
-			if r.skip {
-				if i = skipUvarints(payload, i, int(r.n)); i < 0 {
-					return -1, "bad " + names[col] + " column"
-				}
-				continue
-			}
-			run := dst[r.at : r.at+r.n]
-			ok, src := true, false
-			switch col {
-			case 0:
-				i, src = kindTagRun(payload, i, run)
-				if src && sc.mode[r.id] == keepNoRanges {
-					sc.sources = append(sc.sources, sc.pids[r.id])
-				}
-			case 1:
-				i, seq[r.id] = seqRun(payload, i, run, seq[r.id])
-			case 2:
-				i, start[r.id], ok = startRun(payload, i, run, start[r.id])
-			case 3:
-				i, ok = lengthRun(payload, i, run)
-			}
-			if i < 0 {
-				return -1, "bad " + names[col] + " column"
-			}
-			if !ok { // only the range columns check their values
-				if col == 2 {
-					return -1, "range start outside the address space"
-				}
-				return -1, "range end outside the address space"
-			}
+// decoder. The range-start deltas chain per dictionary entry (start,
+// zero at the block start). It returns the index past the last column,
+// or -1 and what was wrong.
+func rangeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, start []int64) (int, string) {
+	for _, r := range runs {
+		ok := true
+		if r.skip {
+			i = skipUvarints(payload, i, int(r.n))
+		} else {
+			i, start[r.id], ok = startRun(payload, i, dst[r.at:r.at+r.n], start[r.id])
+		}
+		if i < 0 {
+			return -1, "bad range-start column"
+		}
+		if !ok {
+			return -1, "range start outside the address space"
+		}
+	}
+	for _, r := range runs {
+		ok := true
+		if r.skip {
+			i = skipUvarints(payload, i, int(r.n))
+		} else {
+			i, ok = lengthRun(payload, i, dst[r.at:r.at+r.n])
+		}
+		if i < 0 {
+			return -1, "bad range-length column"
+		}
+		if !ok {
+			return -1, "range end outside the address space"
 		}
 	}
 	return i, ""
 }
 
-// kindTagRun also reports whether the run holds a source registration.
-func kindTagRun(payload []byte, i int, run []cpu.Event) (int, bool) {
-	src := false
+// The run decoders (kindTagRun, seqRun, startRun, lengthRun) decode one
+// kept run's values of one column. A run decoder is a separate function
+// so that its loop, like a flat loop over the block, keeps its counter
+// and value in registers; it returns -1 on a malformed varint and, for
+// the range columns, false on a range outside the address space.
+// getUvarint is too big for the inliner (cost ~127 vs the 80 budget),
+// and a non-inlined call per column per event is most of the decode
+// cost, so each run decoder carries 1/2/3-byte fast paths inline — the
+// uint(i)+k < uint(len) compares both guard the loads and eliminate the
+// bounds checks, and three bytes cover every varint the per-PID delta
+// chains produce in practice (a 64 KiB-arena start delta zigzags into 17
+// bits) — with only longer or payload-end varints taking the call. Each
+// later branch is only reached with the previous bytes' continuation
+// bits set, so the masks are exact.
+
+// kindTagRun decodes a kept run's kind/tag values into its events, with
+// their PID.
+func kindTagRun(payload []byte, i int, run []cpu.Event, pid uint32) int {
 	for k := range run {
 		var v uint64
 		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
@@ -515,16 +704,13 @@ func kindTagRun(payload []byte, i int, run []cpu.Event) (int, bool) {
 			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
 			i += 3
 		} else if v, i = getUvarint(payload, i); i < 0 {
-			return -1, false
+			return -1
 		}
-		kind := cpu.EventKind(v & 3)
-		if kind == cpu.EvSourceRegister {
-			src = true
-		}
-		run[k].Kind = kind
+		run[k].Kind = cpu.EventKind(v & 3)
+		run[k].PID = pid
 		run[k].Tag = int(unzigzag(v >> 2))
 	}
-	return i, src
+	return i
 }
 
 func seqRun(payload []byte, i int, run []cpu.Event, seq uint64) (int, uint64) {

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -411,6 +414,142 @@ func TestSkipUvarints(t *testing.T) {
 	}
 }
 
+// TestCheckUvarints holds checkUvarints to binary.Uvarint applied n
+// times, from every start and for every count, over random bytes whose
+// continuation runs reach the over-long and overflowing varints of ten
+// and eleven bytes.
+func TestCheckUvarints(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	for trial := 0; trial < 60; trial++ {
+		b := make([]byte, rng.IntN(100))
+		for k := 0; k < len(b); k++ {
+			b[k] = byte(rng.IntN(128))
+			if rng.IntN(4) == 0 { // a run of continuation bytes
+				for run := rng.IntN(12); run > 0 && k < len(b)-1; run-- {
+					b[k] |= 0x80
+					k++
+					b[k] = byte(rng.IntN(3))
+				}
+			}
+		}
+		for i := 0; i <= len(b); i++ {
+			for n := 0; n <= len(b)-i+1; n++ {
+				want := i
+				for left := n; left > 0 && want >= 0; left-- {
+					if _, w := binary.Uvarint(b[want:]); w > 0 {
+						want += w
+					} else {
+						want = -1
+					}
+				}
+				if got := checkUvarints(b, i, n); got != want {
+					t.Fatalf("checkUvarints(%x, %d, %d) = %d, want %d", b, i, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountMem holds countMem to a byte-at-a-time count of the leading
+// one-byte load and store values, from every start and for every count,
+// over random kind/tag bytes whose rare values (sinks, sources and
+// continuation bytes) fall at several densities across its 8-byte
+// stride.
+func TestCountMem(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	for trial := 0; trial < 60; trial++ {
+		b := make([]byte, rng.IntN(100))
+		rare := 1 + rng.IntN(64)
+		for k := range b {
+			b[k] = byte(rng.IntN(2)) | byte(rng.IntN(32))<<2
+			if rng.IntN(rare) == 0 {
+				b[k] |= []byte{0x02, 0x80, 0x82}[rng.IntN(3)]
+			}
+		}
+		for i := 0; i <= len(b); i++ {
+			for n := 0; n <= len(b)-i+1; n++ {
+				wantI, wantM, wantStores := i, 0, uint64(0)
+				for wantM < n && wantI < len(b) && b[wantI]&0x82 == 0 {
+					wantStores += uint64(b[wantI] & 1)
+					wantI++
+					wantM++
+				}
+				gotI, gotM, gotStores := countMem(b, i, n)
+				if gotI != wantI || gotM != wantM || gotStores != wantStores {
+					t.Fatalf("countMem(%x, %d, %d) = (%d, %d, %d), want (%d, %d, %d)",
+						b, i, n, gotI, gotM, gotStores, wantI, wantM, wantStores)
+				}
+			}
+		}
+	}
+}
+
+// TestNextBatchProjectSourceAfterCountedRun: in one block, PID 1 runs
+// without a source, PID 2 runs, and PID 1 runs again with a source
+// registration in the middle. The reader would count PID 1's first run
+// when it reaches it, but the later source keeps PID 1 whole in both
+// runs. PID 2 is counted: its sink checks are delivered with
+// ProjectedRange and its loads and stores reported as one count.
+func TestNextBatchProjectSourceAfterCountedRun(t *testing.T) {
+	var evs []cpu.Event
+	seq := map[uint32]uint64{}
+	add := func(kind cpu.EventKind, pid, start uint32, tag int) {
+		seq[pid] += 3
+		evs = append(evs, cpu.Event{Kind: kind, PID: pid, Seq: seq[pid], Range: mem.Range{Start: start, End: start + 4}, Tag: tag})
+	}
+	run := func(pid uint32) {
+		for i := range 20 {
+			add(cpu.EventKind(i%3%2), pid, 0x1000+uint32(8*i), 0)
+		}
+		add(cpu.EvSinkCheck, pid, 0x1000, int(pid))
+	}
+	run(1)
+	run(2)
+	run(1)
+	add(cpu.EvSourceRegister, 1, 0x9000, 0)
+	run(1)
+	run(2)
+	r, err := NewReader(bytes.NewReader(encodeFormat(t, &Recorder{Events: evs}, FormatV2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &countRecorder{r: r, quiet: func(uint32) bool { return true }, counts: map[blockPID]memCount{}}
+	var got []cpu.Event
+	for dst := make([]cpu.Event, 16); ; {
+		n, err := r.NextBatchProject(dst, nil, rec)
+		got = append(got, dst[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []cpu.Event
+	var pid2 memCount
+	for _, ev := range evs {
+		if ev.PID == 2 {
+			switch ev.Kind {
+			case cpu.EvLoad:
+				pid2.loads++
+				continue
+			case cpu.EvStore:
+				pid2.stores++
+				continue
+			}
+			ev.Range = ProjectedRange
+		}
+		want = append(want, ev)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("projected read delivered %d events, want %d:\n%+v\nwant\n%+v", len(got), len(want), got, want)
+	}
+	wantCounts := map[blockPID]memCount{{uint64(len(evs)), 2}: pid2}
+	if !maps.Equal(rec.counts, wantCounts) {
+		t.Fatalf("counts %+v, want %+v", rec.counts, wantCounts)
+	}
+}
+
 // quietTrace is uniformTrace with every source registration turned into
 // a load, so a projected read keeps no PID whole for its sources.
 func quietTrace(n int) *Recorder {
@@ -426,29 +565,34 @@ func quietTrace(n int) *Recorder {
 // evenPIDs keeps the even PIDs: a 2-worker shard's share.
 func evenPIDs(pid uint32) bool { return pid%2 == 0 }
 
-// anyPID lets a projected read leave out the ranges of every kept PID.
-func anyPID(uint32) bool { return true }
+// quietAll lets a projected read count every kept PID, and drops the
+// counts.
+type quietAll struct{}
+
+func (quietAll) Quiet(uint32) bool            { return true }
+func (quietAll) Count(uint32, uint64, uint64) {}
 
 // TestV2NextBatchAllocationFree is the v2 steady-state gate: after the
 // first blocks size the scratch buffers, batched decode of a uniform
 // stream allocates nothing — including across block boundaries, including
 // a filtered read that keeps half the PIDs and steps over the other
 // half's runs, and including a projected read of those PIDs, both where
-// it steps over their range columns and where their source registrations
-// keep them whole.
+// it counts them and where their source registrations keep them whole.
 func TestV2NextBatchAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		rec            func(n int) *Recorder
-		blocks         int
-		keep, noRanges func(pid uint32) bool
+		name   string
+		rec    func(n int) *Recorder
+		blocks int
+		keep   func(pid uint32) bool
+		proj   Projector
 	}{
 		{"plain", uniformTrace, 40, nil, nil},
 		// A filtered call returns at most a block's kept events, so
 		// 300 calls need more blocks.
 		{"keep-half", uniformTrace, 80, evenPIDs, nil},
-		{"project-half", quietTrace, 80, evenPIDs, anyPID},
-		{"project-half-sources", uniformTrace, 80, evenPIDs, anyPID},
+		// A counted block delivers only its sink checks.
+		{"project-half", quietTrace, 300, evenPIDs, quietAll{}},
+		{"project-half-sources", uniformTrace, 80, evenPIDs, quietAll{}},
 	} {
 		orig := tc.rec(tc.blocks * DefaultBlockEvents)
 		data := encodeFormat(t, orig, FormatV2)
@@ -459,8 +603,8 @@ func TestV2NextBatchAllocationFree(t *testing.T) {
 		dst := make([]cpu.Event, 256)
 		read := func() {
 			var err error
-			if tc.noRanges != nil {
-				_, err = sr.NextBatchProject(dst, tc.keep, tc.noRanges)
+			if tc.proj != nil {
+				_, err = sr.NextBatchProject(dst, tc.keep, tc.proj)
 			} else {
 				_, err = sr.NextBatchKeep(dst, tc.keep)
 			}
@@ -516,8 +660,8 @@ func scanTrace(n int) *Recorder {
 // uniform corpus serialized as v1, for a like-for-like events/sec
 // comparison (`go test -bench V2NextBatch -benchtime ...`). The
 // keep-half and project-half cases read a scan-shaped corpus as one of
-// two DrainTrace shards does, keeping half the PIDs whole or without
-// their ranges; their ns/event is per corpus event.
+// two DrainTrace shards does, keeping half the PIDs whole or counting
+// them; their ns/event is per corpus event.
 func BenchmarkReaderV2NextBatch(b *testing.B) {
 	orig := uniformTrace(100000)
 	for _, f := range []Format{FormatV1, FormatV2} {
@@ -549,11 +693,11 @@ func BenchmarkReaderV2NextBatch(b *testing.B) {
 	}
 	scan := encodeFormat(b, scanTrace(1<<20), FormatV2)
 	for _, tc := range []struct {
-		name     string
-		noRanges func(pid uint32) bool
+		name string
+		proj Projector
 	}{
 		{"keep-half", nil},
-		{"project-half", anyPID},
+		{"project-half", quietAll{}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -566,7 +710,7 @@ func BenchmarkReaderV2NextBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				for err == nil {
-					_, err = sr.NextBatchProject(dst, evenPIDs, tc.noRanges)
+					_, err = sr.NextBatchProject(dst, evenPIDs, tc.proj)
 				}
 				if err != io.EOF {
 					b.Fatal(err)
