@@ -155,7 +155,9 @@ func BenchmarkFigures18And19(b *testing.B) {
 // BenchmarkPipeline sweeps the sharded asynchronous analyzer across
 // worker counts on the multi-process Figure 10 workload (the full
 // DroidBench corpus, one PID per app, interleaved round-robin). The
-// events/sec metric is the scaling trajectory BENCH_*.json tracks.
+// workload is ~22k events, so this times the dispatcher's per-batch
+// overhead more than its parallelism (see TestPerfFloors for the
+// scaling floors).
 func BenchmarkPipeline(b *testing.B) {
 	h := eval.NewHarness(benchScale)
 	wl, err := h.SuiteWorkload(64)

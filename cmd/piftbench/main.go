@@ -4,19 +4,24 @@
 // Usage:
 //
 //	piftbench [-exp all|fig2|table1|fig10|fig11|headline|fig12|fig13|
-//	           fig14|fig15|fig16|fig17|fig18|pipeline|stackvm]
+//	           fig14|fig15|fig16|fig17|fig18|pipeline|server|stackvm]
 //	          [-frontend dalvik|stackvm] [-scale N]
-//	          [-workers 1,2,4,8] [-events 2097152] [-wire-format v1|v2]
+//	          [-workers 1,2,4,8] [-events 2097152] [-server-events 1048576]
+//	          [-wire-format v1|v2]
 //
 // -scale sizes the LGRoot workload that drives the trace-statistics and
 // overhead experiments (default 25; larger = longer trace, smoother
-// distributions). -workers selects the worker counts the pipeline
-// experiment sweeps, and -events the size of the synthetic corpus its
-// shard-owned scaling sweep drains (0 disables that sweep).
+// distributions). -workers selects the worker counts the pipeline and
+// server experiments sweep. -events sizes the synthetic corpus of the
+// pipeline experiment's shard-owned scaling sweep, wire table and decode
+// comparison (0 disables all three, leaving the parity check), and
+// -server-events the corpus the server experiment uploads.
 // -wire-format chooses the trace serialization the pipeline and server
 // sweeps ingest — the block-compressed PIFTTRC2 by default; the pipeline
 // experiment additionally reports the per-corpus v1-vs-v2 compression
-// table and cross-format decode throughput.
+// table and cross-format decode throughput. Both experiments print
+// tables only; the bounds on these numbers are tests (see
+// TestPerfFloors in internal/eval).
 //
 // -frontend selects which guest VM's benchmark suite backs the harness:
 // the Dalvik-style register VM (default) or the wasm-style stack VM. Both
@@ -34,11 +39,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/droidbench"
 	"repro/internal/eval"
@@ -51,10 +56,8 @@ func main() {
 	feName := flag.String("frontend", "dalvik", "guest front end backing the harness suite: dalvik or stackvm")
 	scale := flag.Int("scale", malware.DefaultScale, "LGRoot workload scale")
 	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp pipeline and -exp server")
-	events := flag.Int("events", 1<<21, "synthetic corpus size (events) for -exp pipeline's shard-owned scaling sweep; 0 disables")
-	jsonOut := flag.String("json", "BENCH_pipeline.json", "path for the pipeline experiment's JSON artifact (tables + metrics snapshot); empty disables")
+	events := flag.Int("events", 1<<21, "synthetic corpus size (events) for -exp pipeline's scaling sweep, wire table and decode comparison; 0 disables them")
 	serverEvents := flag.Int("server-events", 1<<20, "corpus size (events) for -exp server's session-ingest scaling sweep")
-	serverJSON := flag.String("server-json", "BENCH_server.json", "path for the server experiment's JSON artifact; empty disables")
 	wireFormat := flag.String("wire-format", "v2", "trace wire format for the -exp pipeline and -exp server corpora: v1 (PIFTTRC1) or v2 (PIFTTRC2)")
 	flag.Parse()
 
@@ -189,27 +192,21 @@ func main() {
 		counts, err := parseWorkers(*workers)
 		fatal(err)
 		cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-		bench, err := eval.PipelineBench(h, cfg, counts, 64, 3, *events, format)
+		parity, err := eval.PipelineParity(h, cfg, counts)
 		fatal(err)
-		fmt.Println(eval.RenderPipelineParity(bench.Parity, cfg))
-		fmt.Println(eval.RenderPipelineScaling(bench.Scaling))
-		if len(bench.Synthetic) > 0 {
+		fmt.Println(eval.RenderPipelineParity(parity, cfg))
+		if *events > 0 {
+			rows, err := eval.SyntheticScaling(cfg, counts, *events, 3, format)
+			fatal(err)
 			fmt.Println(eval.RenderScalingTable(
 				fmt.Sprintf("Shard-owned ingest scaling (synthetic corpus, %d events, %s, NumCPU=%d)",
-					bench.SyntheticEvents, bench.WireFormat, bench.NumCPU),
-				bench.Synthetic))
-		}
-		if len(bench.Wire) > 0 {
-			fmt.Println(eval.RenderWire(bench.Wire, &eval.DecodeBenchResult{
-				Events:   bench.SyntheticEvents,
-				V1PerSec: bench.DecodeV1PerSec,
-				V2PerSec: bench.DecodeV2PerSec,
-				Ratio:    bench.DecodeV2PerSec / bench.DecodeV1PerSec,
-			}))
-		}
-		if *jsonOut != "" {
-			fatal(writeJSONAtomic(*jsonOut, bench))
-			fmt.Printf("(pipeline artifact written to %s)\n", *jsonOut)
+					*events, format, runtime.NumCPU()),
+				rows))
+			wire, err := eval.WireCompression(h, 64, *events)
+			fatal(err)
+			dec, err := eval.DecodeBench(*events, 3)
+			fatal(err)
+			fmt.Println(eval.RenderWire(wire, dec))
 		}
 	}
 	if run("server") {
@@ -217,16 +214,12 @@ func main() {
 		counts, err := parseWorkers(*workers)
 		fatal(err)
 		cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-		bench, err := eval.ServerBench(cfg, counts, *serverEvents, 3, format)
+		rows, err := eval.ServerBench(cfg, counts, *serverEvents, 3, format)
 		fatal(err)
 		fmt.Println(eval.RenderScalingTable(
 			fmt.Sprintf("Server session-ingest scaling (synthetic corpus, %d events, %s, NumCPU=%d)",
-				bench.Events, bench.WireFormat, bench.NumCPU),
-			bench.Scaling))
-		if *serverJSON != "" {
-			fatal(atomicfile.WriteFile(*serverJSON, bench.WriteJSON))
-			fmt.Printf("(server artifact written to %s)\n", *serverJSON)
-		}
+				*serverEvents, format, runtime.NumCPU()),
+			rows))
 	}
 	if run("cache") {
 		ok = true
@@ -240,13 +233,6 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("(completed in %v)\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeJSONAtomic writes the artifact atomically, so an interrupted run
-// can never leave a truncated artifact for the CI perf gate to misread as
-// a regression.
-func writeJSONAtomic(path string, bench *eval.PipelineBenchResult) error {
-	return atomicfile.WriteFile(path, bench.WriteJSON)
 }
 
 func parseWorkers(s string) ([]int, error) {

@@ -6,6 +6,8 @@ package eval
 // analogue of the paper's application-core/analysis-core split (§3).
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -14,14 +16,14 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
+	"repro/internal/trace/tracegen"
 )
 
 // SuiteWorkload builds the multi-process DroidBench workload: every app
 // of the Figure 10/11 corpus re-tagged with a distinct PID and
 // interleaved round-robin with the given context-switch quantum. This is
 // the stream a phone's analysis core would see with the whole suite
-// running concurrently, and the workload the pipeline scaling numbers are
-// quoted on. The result is cached per quantum.
+// running concurrently. The result is cached per quantum.
 func (h *Harness) SuiteWorkload(quantum int) (*trace.Recorder, error) {
 	if h.suiteWorkloads == nil {
 		h.suiteWorkloads = make(map[int]*trace.Recorder)
@@ -111,52 +113,69 @@ type PipelineScalingRow struct {
 	Speedup   float64 // relative to the first row
 }
 
-// PipelineScaling times the pipeline over the multi-process suite
-// workload at each worker count. Repeats takes the best of k runs to damp
-// scheduler noise; k < 1 means 3.
-func PipelineScaling(h *Harness, cfg core.Config, workerCounts []int, quantum, repeats int) ([]PipelineScalingRow, error) {
-	wl, err := h.SuiteWorkload(quantum)
-	if err != nil {
-		return nil, err
-	}
+// SyntheticScaling times the shard-owned ingest (Pipeline.DrainTrace)
+// over a seeded tracegen corpus, serialized in format f, at each worker
+// count, best of repeats (k < 1 means 3). The sweep starts from
+// serialized bytes and measures the whole ingest, not just the analysis:
+// every worker reads the whole trace and keeps its own PIDs' events, so
+// the analysis and the decoding of kept events split across workers,
+// while reading past the other shards' events (validating v1 records,
+// stepping over v2 PID runs) is paid by every worker.
+// Every run's verdicts are checked byte-identical to the first, so a
+// scaling number can never be quoted on a wrong answer.
+func SyntheticScaling(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) ([]PipelineScalingRow, error) {
 	if repeats < 1 {
 		repeats = 3
 	}
+	var wire bytes.Buffer
+	if _, err := tracegen.Generate(tracegen.Spec{Seed: 1, Events: events}).WriteToFormat(&wire, f); err != nil {
+		return nil, err
+	}
+	raw := wire.Bytes()
+	var want string
 	var rows []PipelineScalingRow
 	for _, n := range workerCounts {
 		best := time.Duration(0)
 		for k := 0; k < repeats; k++ {
 			p := pipeline.New(pipeline.Options{Workers: n, Config: cfg})
 			start := time.Now()
-			wl.Replay(p)
-			res := p.Close()
+			res, err := p.DrainTrace(context.Background(), bytes.NewReader(raw))
 			elapsed := time.Since(start)
-			if res.Events != uint64(wl.Len()) {
-				return nil, fmt.Errorf("eval: pipeline dropped events: %d of %d", res.Events, wl.Len())
+			if err != nil {
+				return nil, err
+			}
+			if res.Events != uint64(events) {
+				return nil, fmt.Errorf("eval: shard-owned drain accounted %d of %d events", res.Events, events)
+			}
+			key := fmt.Sprintf("%#v", res.Verdicts)
+			if want == "" {
+				want = key
+			} else if key != want {
+				return nil, fmt.Errorf("eval: %d-worker verdicts diverge on the synthetic corpus", n)
 			}
 			if best == 0 || elapsed < best {
 				best = elapsed
 			}
 		}
-		row := PipelineScalingRow{
-			Workers:   n,
-			Events:    wl.Len(),
-			Elapsed:   best,
-			PerSecond: float64(wl.Len()) / best.Seconds(),
-		}
-		if len(rows) > 0 {
-			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
+		rows = appendScalingRow(rows, n, events, best)
 	}
 	return rows, nil
 }
 
-// RenderPipelineScaling prints the suite scaling sweep as a table.
-func RenderPipelineScaling(rows []PipelineScalingRow) string {
-	return RenderScalingTable("Pipeline scaling (DroidBench suite, multi-process interleave)", rows)
+// appendScalingRow appends the sweep point of n workers that processed
+// events in best, with its speedup over the sweep's first row.
+func appendScalingRow(rows []PipelineScalingRow, n, events int, best time.Duration) []PipelineScalingRow {
+	row := PipelineScalingRow{
+		Workers:   n,
+		Events:    events,
+		Elapsed:   best,
+		PerSecond: float64(events) / best.Seconds(),
+		Speedup:   1,
+	}
+	if len(rows) > 0 {
+		row.Speedup = row.PerSecond / rows[0].PerSecond
+	}
+	return append(rows, row)
 }
 
 // RenderScalingTable prints any scaling sweep under the given title.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func TestSuiteWorkload(t *testing.T) {
@@ -45,11 +46,12 @@ func TestSuiteWorkload(t *testing.T) {
 func TestPipelineParityAndRender(t *testing.T) {
 	h := NewHarness(2)
 	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-	rows, err := PipelineParity(h, cfg, []int{1, 2})
+	workers := []int{1, 2, 4, 8}
+	rows, err := PipelineParity(h, cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(h.Apps()) * 2; len(rows) != want {
+	if want := len(h.Apps()) * len(workers); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, r := range rows {
@@ -66,10 +68,12 @@ func TestPipelineParityAndRender(t *testing.T) {
 	}
 }
 
+// TestPipelineScalingAndRender runs the shard-owned scaling sweep over a
+// PIFTTRC1 corpus (TestSyntheticScalingV2 covers PIFTTRC2) and renders
+// its table.
 func TestPipelineScalingAndRender(t *testing.T) {
-	h := NewHarness(2)
 	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-	rows, err := PipelineScaling(h, cfg, []int{1, 2}, 64, 1)
+	rows, err := SyntheticScaling(cfg, []int{1, 2}, 30000, 1, trace.FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +81,14 @@ func TestPipelineScalingAndRender(t *testing.T) {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	for _, r := range rows {
-		if r.Events <= 0 || r.PerSecond <= 0 || r.Elapsed <= 0 {
+		if r.Events != 30000 || r.PerSecond <= 0 || r.Elapsed <= 0 {
 			t.Errorf("implausible scaling row %+v", r)
 		}
 	}
 	if rows[0].Speedup != 1 {
 		t.Errorf("baseline speedup %v, want 1", rows[0].Speedup)
 	}
-	out := RenderPipelineScaling(rows)
+	out := RenderScalingTable("Shard-owned ingest scaling", rows)
 	if !strings.Contains(out, "events/sec") {
 		t.Errorf("render missing header:\n%s", out)
 	}

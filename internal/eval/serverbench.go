@@ -1,10 +1,8 @@
 package eval
 
-// Server ingest benchmark: the serving-layer analogue of the pipeline
+// Server ingest benchmark: the serving-layer analogue of the shard-owned
 // scaling sweep. A real server.Server behind a real HTTP listener
-// ingests a serialized multi-process corpus at each worker count; the
-// artifact it produces (BENCH_server.json) is what CI's
-// server-scaling-gate job compares against the committed baseline.
+// ingests a serialized multi-process corpus at each worker count.
 
 import (
 	"bytes"
@@ -14,45 +12,26 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/trace/tracegen"
 )
 
-// ServerBenchResult is the JSON artifact piftbench -exp server writes.
-// Scaling rows measure end-to-end ingest through the HTTP boundary —
-// body read, decode, split, sharded analysis, merge, ack — not just
-// tracker math, so the gate certifies what a tenant actually experiences.
-type ServerBenchResult struct {
-	Config  core.Config `json:"config"`
-	Events  int         `json:"events"`
-	Workers []int       `json:"workers"`
-	Repeats int         `json:"repeats"`
-	// NumCPU records the measuring machine's parallelism; benchgate's
-	// -min-server-scaling floor consults it and skips enforcement on
-	// machines that physically cannot exhibit the gated speedup.
-	NumCPU int `json:"num_cpu"`
-	// WireFormat is the trace format the corpus crossed the wire in.
-	WireFormat string               `json:"wire_format,omitempty"`
-	Scaling    []PipelineScalingRow `json:"scaling"`
-	Snapshot   metrics.Snapshot     `json:"metrics"`
-}
-
 // ServerBench times whole-stream session ingest at each worker count
 // over one seeded multi-process corpus serialized in format f,
-// best-of-repeats. Every run's verdicts are checked against the
-// sequential replay in canonical order, so a scaling number can never be
-// quoted on a wrong answer. At worker count 1 every request runs at
-// grant 1, applying each decoded batch to the session tracker in place;
-// that row is the baseline the speedup column is relative to. Larger
-// counts take the same route with the batches handed to a pipeline over
-// the tracker's PID shards.
-func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) (*ServerBenchResult, error) {
+// best-of-repeats (k < 1 means 3). A row measures ingest through the
+// HTTP boundary — body read, decode, split, sharded analysis, merge,
+// ack — not just tracker math. Every run's verdicts are checked against
+// the sequential replay in canonical order, so a scaling number can
+// never be quoted on a wrong answer. At worker count 1 every request
+// runs at grant 1, applying each decoded batch to the session tracker in
+// place; that row is the baseline the speedup column is relative to.
+// Larger counts take the same route with the batches handed to a
+// pipeline over the tracker's PID shards.
+func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) ([]PipelineScalingRow, error) {
 	if repeats < 1 {
 		repeats = 3
 	}
@@ -65,7 +44,6 @@ func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f tra
 	want := OneShotVerdicts(rec.Events, cfg)
 	core.SortVerdicts(want)
 
-	reg := metrics.NewRegistry()
 	var rows []PipelineScalingRow
 	for _, n := range workerCounts {
 		dir, err := os.MkdirTemp("", "pift-serverbench-*")
@@ -75,7 +53,6 @@ func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f tra
 		srv, err := server.New(server.Config{
 			Tracker:           cfg,
 			SpillDir:          dir,
-			Registry:          reg,
 			MemoryBudget:      1 << 40, // never spill mid-measurement
 			IngestWorkers:     n,
 			WorkerBudget:      n,
@@ -107,30 +84,9 @@ func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f tra
 		}
 		ts.Close()
 		os.RemoveAll(dir)
-
-		row := PipelineScalingRow{
-			Workers:   n,
-			Events:    events,
-			Elapsed:   best,
-			PerSecond: float64(events) / best.Seconds(),
-		}
-		if len(rows) > 0 {
-			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
+		rows = appendScalingRow(rows, n, events, best)
 	}
-	return &ServerBenchResult{
-		Config:     cfg,
-		Events:     events,
-		Workers:    workerCounts,
-		Repeats:    repeats,
-		NumCPU:     runtime.NumCPU(),
-		WireFormat: f.String(),
-		Scaling:    rows,
-		Snapshot:   reg.Snapshot(),
-	}, nil
+	return rows, nil
 }
 
 // timedIngest posts the whole corpus as one session upload and returns
@@ -187,11 +143,4 @@ func checkFinalize(ts *httptest.Server, id string, want []core.SinkVerdict) erro
 		return fmt.Errorf("verdicts diverge from sequential replay (%d vs %d)", len(got), len(want))
 	}
 	return nil
-}
-
-// WriteJSON serializes the artifact, indented for human diffing.
-func (r *ServerBenchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -5,8 +5,8 @@ package eval
 // compression table is quoted per corpus — DroidBench apps compress
 // differently from synthetic multi-process interleaves because PID
 // locality and range reuse drive the delta and dictionary columns — and
-// the average bytes/event over all corpora is the number benchgate's
-// -max-bytes-per-event gate enforces.
+// the average bytes/event over all corpora is the number
+// TestWireCompression bounds.
 
 import (
 	"bytes"
@@ -22,14 +22,14 @@ import (
 
 // WireRow compares one corpus's serialized size across formats.
 type WireRow struct {
-	Corpus  string `json:"corpus"`
-	Events  int    `json:"events"`
-	V1Bytes int    `json:"v1_bytes"`
-	V2Bytes int    `json:"v2_bytes"`
+	Corpus  string
+	Events  int
+	V1Bytes int
+	V2Bytes int
 	// BytesPerEvent is the v2 wire cost per event, header included.
-	BytesPerEvent float64 `json:"bytes_per_event"`
+	BytesPerEvent float64
 	// Ratio is V1Bytes/V2Bytes — how many times smaller v2 is.
-	Ratio float64 `json:"ratio"`
+	Ratio float64
 }
 
 // wireRow encodes one corpus both ways and verifies the v2 bytes decode
@@ -109,7 +109,7 @@ func WireCompression(h *Harness, quantum, syntheticEvents int) ([]WireRow, error
 }
 
 // AverageBytesPerEvent is the event-weighted v2 wire cost across rows —
-// the single number the benchgate compression gate enforces.
+// the single number TestWireCompression bounds.
 func AverageBytesPerEvent(rows []WireRow) float64 {
 	var events, v2 int
 	for _, r := range rows {
@@ -123,14 +123,14 @@ func AverageBytesPerEvent(rows []WireRow) float64 {
 }
 
 // DecodeBenchResult compares full-drain decode throughput of the two
-// formats over the same event sequence. Ratio is V2PerSec/V1PerSec; the
-// benchgate -min-decode-ratio gate keeps the compressed format from
-// buying its bytes with decode time.
+// formats over the same event sequence. Ratio is V2PerSec/V1PerSec;
+// TestPerfFloors/decode floors it, so the compressed format cannot buy
+// its bytes with decode time.
 type DecodeBenchResult struct {
-	Events   int     `json:"events"`
-	V1PerSec float64 `json:"v1_per_sec"`
-	V2PerSec float64 `json:"v2_per_sec"`
-	Ratio    float64 `json:"ratio"`
+	Events   int
+	V1PerSec float64
+	V2PerSec float64
+	Ratio    float64
 }
 
 // DecodeBench times NextBatch drains of one seeded multi-process corpus

@@ -46,7 +46,7 @@ func TestWireCompression(t *testing.T) {
 
 // TestDecodeBench smoke-tests the decode comparison: both drains complete
 // and the render includes both numbers. The throughput floor itself is
-// benchgate's job, on a quiet machine.
+// TestPerfFloors/decode, which runs only with -perf.floors.
 func TestDecodeBench(t *testing.T) {
 	dec, err := eval.DecodeBench(30000, 2)
 	if err != nil {
@@ -62,7 +62,8 @@ func TestDecodeBench(t *testing.T) {
 }
 
 // TestSyntheticScalingV2 runs the shard-owned scaling sweep over a
-// v2-serialized corpus — the configuration the scaling-gate CI job uses.
+// v2-serialized corpus — the configuration TestPerfFloors/drain-scaling
+// times.
 func TestSyntheticScalingV2(t *testing.T) {
 	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
 	rows, err := eval.SyntheticScaling(cfg, []int{1, 2}, 30000, 1, trace.FormatV2)

@@ -11,7 +11,8 @@ import (
 
 // This file renders a registry in the two formats the stack consumes:
 // Prometheus text exposition (scraped from piftrun's /metrics endpoint)
-// and JSON (embedded in piftbench's BENCH_pipeline.json perf artifact).
+// and JSON (served at /metrics.json, and read by the benchmark's traced
+// mode).
 // Both render entries in sorted-name order, so output is deterministic
 // for a quiescent registry.
 
@@ -105,8 +106,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot captures every metric's current value into plain maps, the
-// shape piftbench embeds in its benchmark artifact. Map keys marshal in
-// sorted order, so the JSON is deterministic for a quiescent registry.
+// shape /metrics.json serves. Map keys marshal in sorted order, so the
+// JSON is deterministic for a quiescent registry.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`

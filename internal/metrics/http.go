@@ -16,7 +16,7 @@ func Handler(r *Registry) http.Handler {
 // NewServeMux builds the operational endpoint set piftrun -http exposes:
 //
 //	/metrics       Prometheus text exposition of the registry
-//	/metrics.json  the same registry as JSON (the artifact shape)
+//	/metrics.json  the same registry as JSON (a Snapshot)
 //	/healthz       liveness probe, always 200 "ok"
 //	/debug/pprof/  the standard Go profiling endpoints
 //

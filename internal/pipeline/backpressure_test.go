@@ -140,3 +140,28 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 		t.Fatalf("after release: %d dispatched / %d loads, want %d", res.Events, res.Stats.Loads, total)
 	}
 }
+
+// TestDispatchAllocationFree pins the dispatcher's steady state: once a
+// pipeline is warm, dispatching a batch of events and waiting for its
+// analysis allocates nothing. Batches recycle between the dispatcher and
+// the workers, and jobs cross the worker queues by value.
+func TestDispatchAllocationFree(t *testing.T) {
+	evs := make([]cpu.Event, 1024)
+	for i := range evs {
+		evs[i] = cpu.Event{Kind: cpu.EvLoad, PID: uint32(1 + i%8), Seq: uint64(i + 1),
+			Range: mem.MakeRange(mem.Addr(i*16), 4)}
+	}
+	for _, n := range []int{1, 2, 4} {
+		p := pipeline.New(pipeline.Options{Workers: n, Config: testCfg})
+		dispatch := func() {
+			p.EventBatch(evs)
+			p.Sync()
+		}
+		dispatch() // warm: every batch slice the run needs exists
+		allocs := testing.AllocsPerRun(200, dispatch)
+		p.Close()
+		if allocs != 0 {
+			t.Errorf("workers=%d: %v allocations per dispatched batch of %d events, want 0", n, allocs, len(evs))
+		}
+	}
+}

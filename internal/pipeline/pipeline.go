@@ -33,9 +33,9 @@ import (
 type Pipeline struct {
 	opts     Options
 	workers  []*worker
-	pending  [][]cpu.Event  // per-worker batch under construction
-	pool     sync.Pool      // recycles batch slices: *[]cpu.Event
-	inflight sync.WaitGroup // batches dispatched but not yet fully analyzed
+	pending  [][]cpu.Event    // per-worker batch under construction
+	free     chan []cpu.Event // analyzed batch slices, for the dispatcher to reuse
+	inflight sync.WaitGroup   // batches dispatched but not yet fully analyzed
 	m        PipelineMetrics
 	tm       core.TrackerMetrics
 	events   uint64
@@ -61,9 +61,9 @@ func New(opts Options) *Pipeline {
 	return p
 }
 
-// newShell allocates the pipeline chassis — metrics, pool, per-worker
-// slots — without starting workers; New and NewSeeded differ only in
-// where each worker's tracker comes from.
+// newShell allocates the pipeline chassis — metrics, free list,
+// per-worker slots — without starting workers; New and NewSeeded differ
+// only in where each worker's tracker comes from.
 func newShell(opts Options) *Pipeline {
 	p := &Pipeline{opts: opts}
 	if opts.Metrics != nil {
@@ -73,10 +73,10 @@ func newShell(opts Options) *Pipeline {
 		p.m = NewPipelineMetrics(opts.Metrics)
 		p.tm = core.NewTrackerMetrics(opts.Metrics)
 	}
-	p.pool.New = func() any {
-		b := make([]cpu.Event, 0, opts.BatchSize)
-		return &b
-	}
+	// A shard's batches are at most its QueueDepth queued ones, the one
+	// its worker is analyzing, and the dispatcher's pending one. The free
+	// list has room for all of them, so a worker never waits to return one.
+	p.free = make(chan []cpu.Event, opts.Workers*(opts.QueueDepth+2))
 	p.workers = make([]*worker, opts.Workers)
 	p.pending = make([][]cpu.Event, opts.Workers)
 	return p
@@ -88,7 +88,7 @@ func (p *Pipeline) start(i int, tr *core.Tracker) {
 	w := newWorker(i, tr, p.m, p.opts.QueueDepth, p.opts.MaxRestarts)
 	p.workers[i] = w
 	p.pending[i] = p.batch()
-	go w.run(p.opts.Observer, &p.pool, &p.inflight)
+	go w.run(p.opts.Observer, p.free, &p.inflight)
 }
 
 // Workers returns the worker count.
@@ -184,32 +184,35 @@ func (p *Pipeline) Sync() {
 	p.inflight.Wait()
 }
 
-// send hands a batch to a worker's input ring, accounting for dispatch
-// and for backpressure: a full ring counts one stall before the blocking
-// push.
+// send hands a batch to a worker's input queue, accounting for dispatch
+// and for backpressure: a full queue counts one stall before the
+// blocking send.
 func (p *Pipeline) send(w *worker, b []cpu.Event) {
 	p.inflight.Add(1)
 	p.m.EventsDispatched.Add(uint64(len(b)))
 	p.m.BatchesDispatched.Inc()
 	p.m.BatchEvents.Observe(float64(len(b)))
 	// Depth counts batches handed off but not yet fully analyzed. The
-	// increment precedes the push, so it happens-before the worker's
+	// increment precedes the send, so it happens-before the worker's
 	// decrement and the gauge can never read negative.
 	p.m.QueueDepth.Inc()
 	p.m.QueueDepthHigh.TrackMax(p.m.QueueDepth.Value())
-	if !w.q.TryPush(job{batch: b}) {
+	select {
+	case w.q <- job{batch: b}:
+	default:
 		p.m.Stalls.Inc()
-		if !w.q.Push(job{batch: b}) {
-			// Unreachable while the Event/Close contract holds: only Close
-			// closes the ring, and Event-after-Close already panics.
-			panic("pipeline: send on closed worker queue")
-		}
+		w.q <- job{batch: b}
 	}
 }
 
-// batch takes a fresh (or recycled) empty batch slice from the pool.
+// batch takes an empty batch slice off the free list, or makes one.
 func (p *Pipeline) batch() []cpu.Event {
-	return (*p.pool.Get().(*[]cpu.Event))[:0]
+	select {
+	case b := <-p.free:
+		return b
+	default:
+		return make([]cpu.Event, 0, p.opts.BatchSize)
+	}
 }
 
 // Close flushes partial batches, waits for every worker to drain, and
@@ -234,7 +237,7 @@ func (p *Pipeline) Close() Result {
 			p.send(w, p.pending[i])
 		}
 		p.pending[i] = nil
-		w.q.Close()
+		close(w.q)
 	}
 	res := Result{Workers: len(p.workers), Events: p.events}
 	for _, w := range p.workers {

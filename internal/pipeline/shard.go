@@ -127,9 +127,7 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 		if nw > 1 {
 			jobs[w].keep = func(pid uint32) bool { return shard(pid, nw) == w }
 		}
-		if !wk.q.Push(job{phase: &jobs[w]}) {
-			panic("pipeline: phase pushed on closed worker queue")
-		}
+		wk.q <- job{phase: &jobs[w]}
 	}
 	phase.Wait()
 	var err error // the failure a plain reader would report first

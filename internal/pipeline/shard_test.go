@@ -219,8 +219,8 @@ func TestShardOwnedCheckpointOffsetParity(t *testing.T) {
 }
 
 // TestShardOwnedCancel: cancellation between phases shuts the pipeline
-// down cleanly — readers close their rings, workers drain, goroutines
-// exit — and surfaces ctx.Err().
+// down cleanly — workers drain their queues, goroutines exit — and
+// surfaces ctx.Err().
 func TestShardOwnedCancel(t *testing.T) {
 	wire, _ := genWire(t, tracegen.Spec{Seed: 14, Events: 20_000, PIDs: 8})
 	ctx, cancel := context.WithCancel(context.Background())

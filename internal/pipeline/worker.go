@@ -9,11 +9,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
-// job is one unit of work on a worker's input ring: either a single
+// job is one unit of work on a worker's input queue: either a single
 // pre-sharded batch (push mode, the dispatcher's hand-off) or a phase of
 // the shard-owned drain (phase non-nil), in which the worker decodes the
 // phase's event range itself.
@@ -41,7 +40,7 @@ type phaseJob struct {
 	at    uint64
 }
 
-// worker owns one shard: a bounded SPSC job queue feeding a private
+// worker owns one shard: a bounded job queue feeding a private
 // tracker. All tracker state is confined to the worker goroutine between
 // New and the done signal, so no locking is needed anywhere in the hot
 // path. The fault-bookkeeping fields are likewise written only by the
@@ -51,7 +50,7 @@ type phaseJob struct {
 // necessary happens-before edge.
 type worker struct {
 	idx  int
-	q    *ring.Ring[job]
+	q    chan job
 	tr   *core.Tracker
 	pm   PipelineMetrics
 	done chan struct{}
@@ -76,7 +75,7 @@ type worker struct {
 func newWorker(idx int, tr *core.Tracker, pm PipelineMetrics, queueDepth, maxRestarts int) *worker {
 	return &worker{
 		idx:         idx,
-		q:           ring.New[job](queueDepth),
+		q:           make(chan job, queueDepth),
 		tr:          tr,
 		pm:          pm,
 		done:        make(chan struct{}),
@@ -84,25 +83,25 @@ func newWorker(idx int, tr *core.Tracker, pm PipelineMetrics, queueDepth, maxRes
 	}
 }
 
-// run drains jobs until the dispatcher closes the input ring, returning
-// spent batch slices to the shared pool and marking each push-mode batch
-// done on the inflight WaitGroup — the quiesce barrier Sync waits on. A
-// failed worker keeps draining — discarding further batches — so the
-// dispatcher's bounded sends can never hang on a dead consumer.
-func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.WaitGroup) {
+// run drains jobs until the dispatcher closes the input queue, returning
+// spent batch slices to the dispatcher's free list and marking each
+// push-mode batch done on the inflight WaitGroup — the quiesce barrier
+// Sync waits on. A batch goes back before it is marked done, so the
+// dispatcher finds it there after Sync. A failed worker keeps draining —
+// discarding further batches — so the dispatcher's bounded sends can
+// never hang on a dead consumer.
+func (w *worker) run(obs func(int, cpu.Event), free chan []cpu.Event, inflight *sync.WaitGroup) {
 	defer close(w.done)
-	for {
-		j, ok := w.q.Pop()
-		if !ok {
-			return
-		}
+	for j := range w.q {
 		if j.phase != nil {
 			w.runPhase(j.phase, obs)
 			continue
 		}
 		w.process(j.batch, obs)
-		b := j.batch[:0]
-		pool.Put(&b)
+		select {
+		case free <- j.batch[:0]:
+		default: // unreachable: free has room for every batch the pipeline makes
+		}
 		w.pm.QueueDepth.Dec()
 		inflight.Done()
 	}
