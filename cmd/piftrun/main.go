@@ -234,6 +234,10 @@ func main() {
 	)
 	if pipe != nil {
 		merged := pipe.Close()
+		if merged.Err != nil {
+			fmt.Fprintln(os.Stderr, "piftrun:", merged.Err)
+			os.Exit(1)
+		}
 		verdicts, st = merged.Verdicts, merged.Stats
 	} else {
 		verdicts, st = pift.Verdicts(), pift.Stats()

@@ -36,10 +36,9 @@ var matrixModes = []string{"torn-read", "corrupt-record", "worker-panic"}
 var matrixCfg = core.Config{NI: 13, NT: 3, Untaint: true}
 
 const (
-	matrixWorkers    = 4
-	matrixBatch      = 64
-	checkpointEvery  = 512
-	matrixRestartCap = 1
+	matrixWorkers   = 4
+	matrixBatch     = 64
+	checkpointEvery = 512
 )
 
 // matrixWorkload serializes the multi-process DroidBench suite workload
@@ -239,9 +238,7 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 	case "worker-panic":
 		wf := chaos.NoWorkerFaults()
 		wf.PanicWorker = int(in.Between(0, matrixWorkers))
-		wf.PanicAfter = uint64(in.Between(0, 500))
-		wf.PanicCount = matrixRestartCap + 1 // exceed the budget: permanent shard failure
-		opts.MaxRestarts = matrixRestartCap
+		wf.PanicAfter = uint64(in.Between(0, 500)) // the panic fails the shard, and the run
 		opts.Observer = in.Observer(wf)
 	default:
 		t.Fatalf("unknown mode %q", mode)
@@ -324,73 +321,5 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 	if got := resultKey(res); got != want {
 		t.Fatalf("seed %d mode %s path %s: resumed result diverges from clean run\n got %.300s\nwant %.300s",
 			seed, mode, path, got, want)
-	}
-}
-
-// TestChaosDegradationParity pins the degradation accounting contract
-// across ingest paths: a shard that fails permanently mid-run must yield
-// the same merged Result — stats, verdicts, event count — and the same
-// fault report (worker, restarts spent, failed flag, dropped events)
-// whether the stream arrived through the dispatcher's ingest loop or
-// through DrainTrace's shard-owned readers. Only DroppedBatches may
-// differ: batch geometry is a path implementation detail, while every
-// dropped event is the same suffix of the failed shard's subsequence.
-func TestChaosDegradationParity(t *testing.T) {
-	raw, err := matrixWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range matrixSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			degradedRun := func(path string) pipeline.Result {
-				in := chaos.New(seed)
-				wf := chaos.NoWorkerFaults()
-				wf.PanicWorker = int(in.Between(0, matrixWorkers))
-				wf.PanicAfter = uint64(in.Between(0, 500))
-				wf.PanicCount = matrixRestartCap + 1
-				opts := pipeline.Options{
-					Workers: matrixWorkers, BatchSize: matrixBatch, Config: matrixCfg,
-					MaxRestarts: matrixRestartCap,
-					Observer:    in.Observer(wf),
-				}
-				var res pipeline.Result
-				var err error
-				if path == "push" {
-					src, rerr := trace.NewReader(bytes.NewReader(raw))
-					if rerr != nil {
-						t.Fatal(rerr)
-					}
-					p := pipeline.New(opts)
-					err = dispatch(p, src, nil)
-					if res = p.Close(); err == nil {
-						err = res.Err
-					}
-				} else {
-					res, err = pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(raw))
-				}
-				if err == nil || !res.Degraded {
-					t.Fatalf("%s run not degraded (err=%v)", path, err)
-				}
-				return res
-			}
-			push := degradedRun("push")
-			shard := degradedRun("shard-owned")
-
-			if got, want := resultKey(shard), resultKey(push); got != want {
-				t.Errorf("degraded results diverge between paths\n got %.300s\nwant %.300s", got, want)
-			}
-			if len(push.Faults) != 1 || len(shard.Faults) != 1 {
-				t.Fatalf("fault reports: push %d, shard %d, want 1 each", len(push.Faults), len(shard.Faults))
-			}
-			pf, sf := push.Faults[0], shard.Faults[0]
-			if pf.Worker != sf.Worker || pf.Restarts != sf.Restarts || pf.Failed != sf.Failed ||
-				pf.DroppedEvents != sf.DroppedEvents {
-				t.Errorf("fault accounting diverges:\npush  %+v\nshard %+v", pf, sf)
-			}
-			if (push.Err == nil) != (shard.Err == nil) {
-				t.Errorf("Err presence diverges: push %v, shard %v", push.Err, shard.Err)
-			}
-		})
 	}
 }

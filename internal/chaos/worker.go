@@ -13,14 +13,11 @@ import (
 // batching, so a schedule keyed on "the Nth event this shard analyzes"
 // reproduces exactly across runs.
 type WorkerFaults struct {
-	// PanicWorker is the shard to kill (-1 disables). After PanicAfter
-	// events have been observed on that shard, each of the next
-	// PanicCount events panics — PanicCount > the pipeline's restart
-	// budget K forces the shard into permanent failure, PanicCount ≤ K
-	// exercises recovery.
+	// PanicWorker is the shard to kill (-1 disables). The event after
+	// the first PanicAfter observed on that shard panics, which fails
+	// the shard and the run.
 	PanicWorker int
 	PanicAfter  uint64
-	PanicCount  int
 	// SlowWorker sleeps SlowSleep once per SlowEvery events on that
 	// shard (-1 / 0 disable) — the slow-shard fault that turns into
 	// dispatcher backpressure.
@@ -40,7 +37,6 @@ func NoWorkerFaults() WorkerFaults {
 // the seed so any CI failure states its own reproduction recipe.
 func (in *Injector) Observer(f WorkerFaults) func(worker int, ev cpu.Event) {
 	var panicSeen uint64
-	var panicsDone int
 	var slowSeen uint64
 	seed := in.seed
 	return func(worker int, ev cpu.Event) {
@@ -50,12 +46,10 @@ func (in *Injector) Observer(f WorkerFaults) func(worker int, ev cpu.Event) {
 				time.Sleep(f.SlowSleep)
 			}
 		}
-		if worker == f.PanicWorker && f.PanicCount > 0 {
+		if worker == f.PanicWorker {
 			panicSeen++
-			if panicSeen > f.PanicAfter && panicsDone < f.PanicCount {
-				panicsDone++
-				panic(fmt.Sprintf("chaos: injected panic %d/%d on worker %d (seed %d)",
-					panicsDone, f.PanicCount, worker, seed))
+			if panicSeen == f.PanicAfter+1 {
+				panic(fmt.Sprintf("chaos: injected panic on worker %d (seed %d)", worker, seed))
 			}
 		}
 	}

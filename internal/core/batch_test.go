@@ -188,42 +188,6 @@ func TestEventBatchBoundedStore(t *testing.T) {
 	}
 }
 
-// panicStore is an IdealStore wrapper that panics on lookups of one
-// address: a stand-in for a faulty store.
-type panicStore struct {
-	*IdealStore
-	at mem.Addr
-}
-
-func (s panicStore) Overlaps(pid uint32, r mem.Range) bool {
-	if r.Start == s.at {
-		panic("poisoned lookup")
-	}
-	return s.IdealStore.Overlaps(pid, r)
-}
-
-// TestEventBatchCursor: after a panic out of EventBatch, BatchCursor
-// names the event that raised it.
-func TestEventBatchCursor(t *testing.T) {
-	evs := []cpu.Event{load(1, 1, 8, 4), store(1, 2, 16, 4), load(2, 1, 666, 4), load(2, 2, 8, 4)}
-	tr := NewTracker(Config{NI: 13, NT: 3, Untaint: true}, panicStore{NewIdealStore(), 666})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EventBatch did not panic")
-			}
-		}()
-		tr.EventBatch(evs)
-	}()
-	if got := tr.BatchCursor(); got != 2 {
-		t.Fatalf("BatchCursor = %d, want 2", got)
-	}
-	tr.EventBatch(evs[3:])
-	if st := tr.Stats(); st.Loads != 3 || st.Stores != 1 {
-		t.Fatalf("stats after resume %+v", st)
-	}
-}
-
 // TestCountQuietMatchesEvent replays tracegen corpora the way a
 // projected trace read hands them over: each PID run of a process that is
 // quiet at the run's start and registers no source in it arrives as one

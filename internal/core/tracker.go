@@ -90,10 +90,6 @@ type Tracker struct {
 	// win is skipped for all but the first of each run.
 	lastPID uint32
 	lastWin *window
-
-	// cursor is where the last EventBatch call stopped (see
-	// BatchCursor).
-	cursor int
 }
 
 // NewTracker builds a tracker over the given store; a nil store gets a
@@ -252,14 +248,9 @@ func (t *Tracker) Event(ev cpu.Event) {
 // on one outside a quiet run: a reader that left out a range Algorithm 1
 // needs faults the batch instead of computing a verdict from it.
 //
-// If Event panics (a faulty Store), the panic propagates and BatchCursor
-// reports which event raised it.
+// If Event panics (a faulty Store), the panic propagates.
 func (t *Tracker) EventBatch(evs []cpu.Event) {
 	i := 0
-	// The cursor is written once per call, not per event: pipeline
-	// workers' trackers can share a cache line, and a store per event
-	// there would bounce it between their cores.
-	defer func() { t.cursor = i }()
 	ideal, _ := t.store.(*IdealStore)
 	for i < len(evs) {
 		pid := evs[i].PID
@@ -296,12 +287,6 @@ func (t *Tracker) CountQuiet(pid uint32, loads, stores uint64) {
 	}
 	t.addQuiet(pid, loads, stores)
 }
-
-// BatchCursor returns where the last EventBatch call stopped: len(evs)
-// when it returned, and after a panic out of it the index in evs of the
-// event that raised the panic, so a caller that recovers can skip
-// exactly that event and resume the batch after it.
-func (t *Tracker) BatchCursor() int { return t.cursor }
 
 // quiet reports whether pid holds no taint and no open window.
 func (t *Tracker) quiet(s *IdealStore, pid uint32) bool {

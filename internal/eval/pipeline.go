@@ -189,11 +189,3 @@ func RenderScalingTable(title string, rows []PipelineScalingRow) string {
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
-
-// DetectedPipeline is Detected's pipeline twin: replays a trace through
-// the sharded analyzer and reports whether any sink verdict found taint.
-func DetectedPipeline(rec *trace.Recorder, cfg core.Config, workers int) bool {
-	p := pipeline.New(pipeline.Options{Workers: workers, Config: cfg})
-	rec.Replay(p)
-	return p.Close().Detected()
-}

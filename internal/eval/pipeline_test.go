@@ -93,17 +93,3 @@ func TestPipelineScalingAndRender(t *testing.T) {
 		t.Errorf("render missing header:\n%s", out)
 	}
 }
-
-func TestDetectedPipelineAgreesWithDetected(t *testing.T) {
-	h := NewHarness(2)
-	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-	for _, a := range h.Apps()[:8] {
-		rec, err := h.AppTrace(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := DetectedPipeline(rec, cfg, 4), Detected(rec, cfg); got != want {
-			t.Errorf("%s: pipeline detected=%v, sequential=%v", a.Name, got, want)
-		}
-	}
-}

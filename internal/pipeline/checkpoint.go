@@ -48,8 +48,8 @@ func (p *Pipeline) WriteCheckpoint(w io.Writer) (int64, error) {
 	for _, wk := range p.workers {
 		// Safe to read after Sync: the WaitGroup edge ordered all worker
 		// writes before this goroutine's reads.
-		if wk.panics > 0 {
-			return 0, fmt.Errorf("pipeline: checkpoint refused: shard %d faulted: %w", wk.idx, wk.firstErr)
+		if wk.err != nil {
+			return 0, fmt.Errorf("pipeline: checkpoint refused: shard %d faulted: %w", wk.idx, wk.err)
 		}
 	}
 	var payload bytes.Buffer
@@ -97,10 +97,10 @@ func (p *Pipeline) WriteCheckpoint(w io.Writer) (int64, error) {
 // tracker configuration are authoritative in the checkpoint; opts may
 // leave them zero, and conflicting values are an error (resuming under
 // different parameters would break the resume-equals-uninterrupted
-// guarantee). NewStore must be nil — the snapshot codec restores the
-// unbounded IdealStore. Resume with DrainTrace on the same bytes, or Skip
-// the stream to Offset() and feed the rest through EventBatch; either way
-// the merged result is byte-identical to an uninterrupted run.
+// guarantee). The snapshot codec restores the unbounded IdealStore.
+// Resume with DrainTrace on the same bytes, or Skip the stream to
+// Offset() and feed the rest through EventBatch; either way the merged
+// result is byte-identical to an uninterrupted run.
 func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -190,11 +192,6 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}); err == nil {
 		t.Fatal("conflicting config accepted")
 	}
-	if _, err := pipeline.Restore(bytes.NewReader(full), pipeline.Options{
-		NewStore: func() core.Store { return core.NewIdealStore() },
-	}); err == nil {
-		t.Fatal("restore with NewStore accepted")
-	}
 	// The pristine checkpoint must still restore (the mutations above
 	// worked on copies).
 	r, err := pipeline.Restore(bytes.NewReader(full), pipeline.Options{})
@@ -218,5 +215,109 @@ func TestRestoreClaimedPayload(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("16-byte checkpoint claiming 1 GiB allocated %d bytes", alloc)
+	}
+}
+
+// FuzzRestore: every input either fails to restore, or restores a
+// pipeline whose checkpoint is stable — restoring the checkpoint it
+// writes and writing again gives the same bytes — and which then closes.
+// Each input is also tried with its length field and CRC trailer
+// recomputed, so mutations reach the payload behind the CRC check. The
+// seeds are real checkpoints at 1, 2 and 4 workers, and truncated copies.
+func FuzzRestore(f *testing.F) {
+	evs := syntheticStream(2_000, 6, 31)
+	for _, workers := range []int{1, 2, 4} {
+		p := pipeline.New(pipeline.Options{Workers: workers, Config: testCfg})
+		p.EventBatch(evs)
+		var buf bytes.Buffer
+		if _, err := p.WriteCheckpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		p.Close()
+		full := buf.Bytes()
+		f.Add(full)
+		f.Add(full[:len(full)/2])
+		f.Add(full[:len(full)-1])
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRestore(t, data)
+		if len(data) >= 20 {
+			fixed := append([]byte(nil), data...)
+			payload := fixed[16 : len(fixed)-4]
+			binary.LittleEndian.PutUint64(fixed[8:], uint64(len(payload)))
+			binary.LittleEndian.PutUint32(fixed[len(fixed)-4:], crc32.Checksum(payload, castagnoli))
+			checkRestore(t, fixed)
+		}
+	})
+}
+
+// checkRestore restores data and, if that succeeds, requires the
+// restored pipeline's checkpoint to be stable.
+func checkRestore(t *testing.T, data []byte) {
+	// Every worker is a goroutine; a claim of more than 64 keeps each
+	// execution small by skipping, not by failing.
+	if len(data) >= 28 && binary.LittleEndian.Uint32(data[24:]) > 64 {
+		return
+	}
+	p, err := pipeline.Restore(bytes.NewReader(data), pipeline.Options{})
+	if err != nil {
+		return
+	}
+	first := checkpointAndClose(t, p)
+	q, err := pipeline.Restore(bytes.NewReader(first), pipeline.Options{})
+	if err != nil {
+		t.Fatalf("restoring a written checkpoint: %v", err)
+	}
+	if second := checkpointAndClose(t, q); !bytes.Equal(first, second) {
+		t.Fatalf("checkpoint not stable: %d bytes, then %d", len(first), len(second))
+	}
+}
+
+// checkpointAndClose writes p's checkpoint and closes p.
+func checkpointAndClose(t *testing.T, p *pipeline.Pipeline) []byte {
+	var buf bytes.Buffer
+	_, err := p.WriteCheckpoint(&buf)
+	if res := p.Close(); err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		t.Fatalf("checkpointing a restored pipeline: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestCheckpointRefusedAfterFault: a pipeline with a failed shard must
+// refuse to checkpoint — its state diverged from the clean execution, and
+// resuming from it would silently bake the divergence in — and Close
+// reports the fault with no Stats and no Verdicts.
+func TestCheckpointRefusedAfterFault(t *testing.T) {
+	evs := syntheticStream(5_000, 1, 4)
+	var seen uint64
+	p := pipeline.New(pipeline.Options{
+		Workers:   1,
+		BatchSize: 32,
+		Config:    testCfg,
+		Observer: func(worker int, ev cpu.Event) {
+			seen++
+			if seen == 100 {
+				panic("sneaky fault")
+			}
+		},
+	})
+	for _, ev := range evs {
+		p.Event(ev)
+	}
+	var buf bytes.Buffer
+	if _, err := p.WriteCheckpoint(&buf); err == nil ||
+		!strings.Contains(err.Error(), "checkpoint refused") || !strings.Contains(err.Error(), "sneaky fault") {
+		t.Fatalf("WriteCheckpoint after fault: err = %v, want refusal naming the panic", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused checkpoint wrote %d bytes", buf.Len())
+	}
+	res := p.Close()
+	if res.Err == nil || res.Stats != (core.Stats{}) || res.Verdicts != nil {
+		t.Fatalf("Close after fault: Err %v, Stats %+v, %d verdicts; want the fault and no output", res.Err, res.Stats, len(res.Verdicts))
 	}
 }

@@ -30,18 +30,9 @@ type PipelineMetrics struct {
 	BatchEvents  *metrics.Histogram
 	// MergeNanos is the duration of the last Close drain+merge.
 	MergeNanos *metrics.Gauge
-	// WorkerPanics counts panics recovered inside workers — both those
-	// absorbed by a restart and the one that fails the shard.
+	// WorkerPanics counts panics recovered inside workers. Each one
+	// fails its shard, and with it the run.
 	WorkerPanics *metrics.Counter
-	// WorkerRestarts counts panics absorbed by the restart policy: the
-	// shard skipped the poisonous event and resumed within its budget.
-	WorkerRestarts *metrics.Counter
-	// ShardFailures counts shards that exhausted their restart budget and
-	// were abandoned — each one degrades the merged Result.
-	ShardFailures *metrics.Counter
-	// DroppedEvents counts events discarded to faults: poisonous events
-	// skipped by restarts plus everything a failed shard threw away.
-	DroppedEvents *metrics.Counter
 	// Checkpoints counts checkpoints written, and CheckpointBytes the
 	// total bytes serialized into them.
 	Checkpoints     *metrics.Counter
@@ -71,13 +62,7 @@ func NewPipelineMetrics(r *metrics.Registry) PipelineMetrics {
 		MergeNanos: r.Gauge("pift_pipeline_merge_duration_ns",
 			"Duration of the last Close drain and merge, in nanoseconds."),
 		WorkerPanics: r.Counter("pift_pipeline_worker_panics_total",
-			"Panics recovered inside pipeline workers."),
-		WorkerRestarts: r.Counter("pift_pipeline_worker_restarts_total",
-			"Worker panics absorbed by skip-and-resume restarts."),
-		ShardFailures: r.Counter("pift_pipeline_shard_failures_total",
-			"Shards abandoned after exhausting their restart budget."),
-		DroppedEvents: r.Counter("pift_pipeline_dropped_events_total",
-			"Events discarded to shard faults (skipped or abandoned)."),
+			"Panics recovered inside pipeline workers; each fails its shard and the run."),
 		Checkpoints: r.Counter("pift_pipeline_checkpoints_total",
 			"Pipeline checkpoints written."),
 		CheckpointBytes: r.Counter("pift_pipeline_checkpoint_bytes_total",

@@ -33,11 +33,6 @@ type Options struct {
 	// Config holds the tainting-window parameters every worker's tracker
 	// runs with. Invalid configs panic in New, matching core.NewTracker.
 	Config core.Config
-	// NewStore builds each worker's taint store; nil means a fresh
-	// unbounded IdealStore per worker. Note that bounded stores size
-	// per worker: capacity-induced evictions then depend on the shard
-	// layout, unlike the exact per-PID semantics of the ideal store.
-	NewStore func() core.Store
 	// Observer, when non-nil, is invoked on the worker goroutine for
 	// every event just before the tracker consumes it. It exists for
 	// tests and metrics; it must not call back into the pipeline.
@@ -47,14 +42,6 @@ type Options struct {
 	// core.NewTrackerMetrics for the metric names). Nil runs
 	// uninstrumented at zero cost beyond predicted branches.
 	Metrics *metrics.Registry
-	// MaxRestarts is the per-shard restart budget K: a worker that
-	// panics restarts — skips the poisonous event and resumes the batch —
-	// up to K times. The panic after that marks the shard failed: its
-	// remaining batches are discarded (counted in the shard's fault
-	// report) while every other shard completes normally, and the merged
-	// Result comes back Degraded instead of the run hanging or losing
-	// everything. 0 — the default — fails a shard on its first panic.
-	MaxRestarts int
 	// CheckpointEvery asks DrainTrace to quiesce the pipeline and invoke
 	// OnCheckpoint every that many events (counted from stream start, so
 	// a resumed run keeps the original cadence). 0 disables periodic
@@ -77,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = DefaultQueueDepth
-	}
-	if o.MaxRestarts < 0 {
-		o.MaxRestarts = 0
 	}
 	return o
 }

@@ -52,11 +52,7 @@ func New(opts Options) *Pipeline {
 	}
 	p := newShell(opts)
 	for i := range p.workers {
-		var store core.Store
-		if opts.NewStore != nil {
-			store = opts.NewStore()
-		}
-		p.start(i, core.NewTracker(opts.Config, store))
+		p.start(i, core.NewTracker(opts.Config, nil))
 	}
 	return p
 }
@@ -85,7 +81,7 @@ func newShell(opts Options) *Pipeline {
 // start installs tracker tr as shard i's analyzer and launches the shard.
 func (p *Pipeline) start(i int, tr *core.Tracker) {
 	tr.SetMetrics(p.tm)
-	w := newWorker(i, tr, p.m, p.opts.QueueDepth, p.opts.MaxRestarts)
+	w := newWorker(i, tr, p.m, p.opts.QueueDepth)
 	p.workers[i] = w
 	p.pending[i] = p.batch()
 	go w.run(p.opts.Observer, p.free, &p.inflight)
@@ -167,8 +163,8 @@ func (p *Pipeline) Offset() uint64 { return p.events }
 
 // Sync flushes every shard's partial batch and blocks until all
 // dispatched events have been analyzed. On return the worker trackers are
-// quiescent — the WaitGroup edge makes their state (and any fault
-// bookkeeping) safely visible to the caller's goroutine — which is what
+// quiescent — the WaitGroup edge makes their state (and any shard's
+// failure) safely visible to the caller's goroutine — which is what
 // makes a mid-stream checkpoint consistent. The pipeline stays usable;
 // Sync is a barrier, not a shutdown.
 func (p *Pipeline) Sync() {
@@ -220,12 +216,10 @@ func (p *Pipeline) batch() []cpu.Event {
 // core.Stats.Merge for the exactness argument), and sink verdicts sort
 // into the canonical (PID, Seq, Tag) order, so the merged Result is a
 // deterministic function of the input stream alone — independent of
-// worker count, batch size, and scheduling. Shards that panicked are
-// itemized in Result.Faults; a shard that exhausted its restart budget
-// marks the Result Degraded and reports the first such fault in
-// Result.Err, while the surviving shards' output is merged normally — a
-// partial result with an explicit fault report, never a hang and never a
-// silently incomplete success.
+// worker count, batch size, and scheduling. If any shard panicked, the
+// Result reports the first such fault in Err and merges nothing: a run
+// either reproduces the sequential tracker or fails, never a hang and
+// never a partial result.
 func (p *Pipeline) Close() Result {
 	if p.closed {
 		panic("pipeline: double Close")
@@ -242,19 +236,17 @@ func (p *Pipeline) Close() Result {
 	res := Result{Workers: len(p.workers), Events: p.events}
 	for _, w := range p.workers {
 		<-w.done
-		if f, faulted := w.fault(); faulted {
-			res.Faults = append(res.Faults, f)
-			if f.Failed {
-				res.Degraded = true
-				if res.Err == nil {
-					res.Err = f.Err
-				}
-			}
+		if res.Err == nil {
+			res.Err = w.err
 		}
-		res.Stats.Merge(w.tr.Stats())
-		res.Verdicts = append(res.Verdicts, w.tr.Verdicts()...)
 	}
-	core.SortVerdicts(res.Verdicts)
+	if res.Err == nil {
+		for _, w := range p.workers {
+			res.Stats.Merge(w.tr.Stats())
+			res.Verdicts = append(res.Verdicts, w.tr.Verdicts()...)
+		}
+		core.SortVerdicts(res.Verdicts)
+	}
 	p.m.MergeNanos.Set(time.Since(start).Nanoseconds())
 	return res
 }

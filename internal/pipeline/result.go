@@ -13,41 +13,9 @@ type Result struct {
 	Verdicts []core.SinkVerdict
 	Events   uint64 // events dispatched, all shards, including pre-restore history
 	Workers  int
-	// Faults lists every shard that recovered at least one panic, in
-	// worker-index order. A shard may appear here with Failed=false — it
-	// restarted within budget and completed the rest of its stream — in
-	// which case only the skipped poisonous events are missing from the
-	// merge.
-	Faults []ShardFault
-	// Degraded reports that at least one shard exhausted its restart
-	// budget: the run completed on the surviving shards and the merged
-	// Stats and Verdicts exclude whatever the failed shards discarded
-	// (itemized per shard in Faults).
-	Degraded bool
-	// Err is the first failed shard's fault (a recovered panic), nil when
-	// every shard completed — including shards that restarted within
-	// budget, whose faults are reported only in Faults.
+	// Err is the first failed shard's fault (a recovered panic), in
+	// worker-index order. A failed run holds no Stats and no Verdicts:
+	// a shard that panicked analyzed only part of its stream, so any
+	// merge would differ from the sequential tracker's.
 	Err error
-}
-
-// ShardFault is one shard's fault report: how often it restarted, whether
-// it ultimately failed, and how much of its stream was discarded.
-type ShardFault struct {
-	Worker         int
-	Restarts       int    // panics recovered by skip-and-resume
-	Failed         bool   // restart budget exhausted; shard abandoned
-	DroppedEvents  uint64 // skipped poisonous events + everything discarded after failure
-	DroppedBatches uint64 // whole batches discarded after failure
-	Err            error  // first recovered panic
-}
-
-// Detected reports whether any sink verdict found taint — the accuracy
-// predicate the DroidBench suite scores.
-func (r Result) Detected() bool {
-	for _, v := range r.Verdicts {
-		if v.Tainted {
-			return true
-		}
-	}
-	return false
 }

@@ -19,17 +19,13 @@ import (
 // NewSeeded builds a pipeline whose shard i analyzes with trackers[i],
 // resuming the stream position at offset. The tracker slice determines
 // the worker count; conflicting opts are an error rather than silently
-// ignored, and NewStore must be nil because the seeds carry their own
-// stores.
+// ignored. Each seed keeps the store it carries.
 // The caller must have partitioned state with the same shard function
 // the pipeline routes with (ShardOf at len(trackers) workers), or shards
 // will see events for PIDs whose state lives elsewhere.
 func NewSeeded(opts Options, trackers []*core.Tracker, offset uint64) (*Pipeline, error) {
 	if len(trackers) == 0 {
 		return nil, fmt.Errorf("pipeline: seeded with zero trackers")
-	}
-	if opts.NewStore != nil {
-		return nil, fmt.Errorf("pipeline: seeded trackers carry their own stores (NewStore must be nil)")
 	}
 	if opts.Workers > 0 && opts.Workers != len(trackers) {
 		return nil, fmt.Errorf("pipeline: %d seed trackers, options demand %d workers", len(trackers), opts.Workers)

@@ -82,10 +82,6 @@ func TestNewSeededValidation(t *testing.T) {
 	if _, err := pipeline.NewSeeded(pipeline.Options{Workers: 3}, []*core.Tracker{seed(cfg), seed(cfg)}, 0); err == nil {
 		t.Fatal("conflicting Workers accepted")
 	}
-	if _, err := pipeline.NewSeeded(pipeline.Options{NewStore: func() core.Store { return core.NewIdealStore() }},
-		[]*core.Tracker{seed(cfg)}, 0); err == nil {
-		t.Fatal("NewStore accepted alongside seeds")
-	}
 	if _, err := pipeline.NewSeeded(pipeline.Options{},
 		[]*core.Tracker{seed(cfg), seed(core.Config{NI: 7, NT: 2})}, 0); err == nil {
 		t.Fatal("mismatched seed configs accepted")

@@ -68,6 +68,8 @@ import (
 // cleanly and the error returned — for a decode error, the one a plain
 // reader over the same bytes reports, except for damage to the range
 // values of a quiet process (see above); the partial Result is discarded.
+// A shard panic fails the drain as it fails Close: the Result keeps Err,
+// Workers and Events, and holds no Stats or Verdicts.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
 	p.Sync()
 	idx, err := trace.LoadIndex(ra)

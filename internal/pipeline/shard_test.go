@@ -320,46 +320,6 @@ func TestDrainTraceCanceledMidPhase(t *testing.T) {
 	}
 }
 
-// TestShardOwnedDegraded: the worker fault policy carries over unchanged —
-// a shard that exhausts its restart budget under the shard-owned drain
-// fails in place, the other shards finish, and the merged Result reports
-// the fault exactly like the dispatcher.
-func TestShardOwnedDegraded(t *testing.T) {
-	wire, rec := genWire(t, tracegen.Spec{Seed: 15, Events: 50_000, PIDs: 16})
-	var poison cpu.Event
-	for _, ev := range rec.Events[10_000:] {
-		if pipeline.ShardOf(ev.PID, 4) == 2 {
-			poison = ev
-			break
-		}
-	}
-	opts := pipeline.Options{
-		Workers: 4,
-		Config:  testCfg,
-		Observer: func(w int, ev cpu.Event) {
-			if ev == poison {
-				panic("injected fault")
-			}
-		},
-	}
-	res, err := pipeline.New(opts).DrainTrace(context.Background(), bytes.NewReader(wire))
-	if err == nil {
-		t.Fatal("degraded run returned nil error")
-	}
-	if !res.Degraded {
-		t.Fatal("Result not marked Degraded")
-	}
-	if len(res.Faults) != 1 || res.Faults[0].Worker != 2 || !res.Faults[0].Failed {
-		t.Fatalf("fault report %+v, want worker 2 failed", res.Faults)
-	}
-	if res.Events != uint64(rec.Len()) {
-		t.Fatalf("accounted %d events, want %d", res.Events, rec.Len())
-	}
-	if len(res.Verdicts) == 0 {
-		t.Fatal("surviving shards produced no verdicts")
-	}
-}
-
 // TestShardOwnedTruncated: a trace cut mid-record fails the drain with
 // the reader's truncation classification, and the pipeline still shuts
 // down cleanly.

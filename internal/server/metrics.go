@@ -18,6 +18,7 @@ type serverMetrics struct {
 	hydrates        *metrics.Counter // spill reads back into memory
 	finalized       *metrics.Counter // DELETE-finalized sessions
 	spillErrors     *metrics.Counter // failed spill writes (session stayed live)
+	quarantined     *metrics.Counter // unreadable spill files set aside at startup
 	streamsInFlight *metrics.Gauge   // ingest streams currently admitted
 	streamsRejected *metrics.Counter // 429s from the global stream cap
 	ingestErrors    *metrics.Counter // ingest requests that ended in an error class
@@ -51,6 +52,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	m.hydrates = r.Counter("pift_server_hydrates_total", "session snapshots restored from the spill directory")
 	m.finalized = r.Counter("pift_server_sessions_finalized_total", "sessions finalized by DELETE")
 	m.spillErrors = r.Counter("pift_server_spill_errors_total", "failed spill writes (victim kept live)")
+	m.quarantined = r.Counter("pift_server_spill_quarantined_total", "unreadable spill files renamed to *.corrupt at startup")
 	m.streamsInFlight = r.Gauge("pift_server_streams_in_flight", "ingest streams currently admitted")
 	m.streamsRejected = r.Counter("pift_server_streams_rejected_total", "ingest streams rejected 429 by the global concurrency cap")
 	m.ingestErrors = r.Counter("pift_server_ingest_errors_total", "ingest requests that ended in an error class")

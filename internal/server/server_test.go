@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -357,6 +359,50 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("resume after restart: status %d %+v", code, ir)
 	}
 	requireParity(t, s2.verdicts(t, "delta"), eval.OneShotVerdicts(events, testCfg), "restart")
+}
+
+// TestRestartQuarantinesCorruptSpill: a restart over a spill directory
+// that holds an empty and a wrongly-magicked *.sess file beside a good one
+// starts anyway. The good tenant serves its verdicts, and the two bad
+// files are set aside as *.corrupt and counted.
+func TestRestartQuarantinesCorruptSpill(t *testing.T) {
+	h := sharedHarness(t)
+	dir := t.TempDir()
+	s := newTestService(t, func(c *server.Config) {
+		c.SpillDir = dir
+		c.MemoryBudget = 1 // evict everything immediately
+	})
+	events, err := h.TenantEvents(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir, code := s.post(t, "delta", events, 0, len(events)); code != http.StatusOK {
+		t.Fatalf("ingest: status %d %+v", code, ir)
+	}
+	bad := map[string][]byte{"empty.sess": nil, "magic.sess": []byte("NOTPIFT1 and then some bytes")}
+	for name, b := range bad {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := newTestService(t, func(c *server.Config) {
+		c.SpillDir = dir
+		c.MemoryBudget = 1
+	})
+	requireParity(t, s2.verdicts(t, "delta"), eval.OneShotVerdicts(events, testCfg), "restart")
+	if got := s2.reg.Counter("pift_server_spill_quarantined_total", "").Value(); got != 2 {
+		t.Fatalf("pift_server_spill_quarantined_total = %d, want 2", got)
+	}
+	for name, b := range bad {
+		got, err := os.ReadFile(filepath.Join(dir, name+".corrupt"))
+		if err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("%s.corrupt: %q, %v; want the original bytes", name, got, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s still in place: %v", name, err)
+		}
+	}
 }
 
 // TestFinalize: DELETE returns the final verdicts and releases everything;

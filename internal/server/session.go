@@ -377,6 +377,9 @@ func sortSummaries(ss []SessionSummary) {
 // every dehydrated session it finds as a spilled stub, so a restarted
 // server resumes serving its tenants where the previous process left off.
 // Only the envelope header is read; snapshots hydrate lazily on first use.
+// A file whose header does not read (torn, empty or not PIFTSES1) costs
+// its one session, not the server: it is renamed to <name>.corrupt, which
+// the scan skips, and counted in pift_server_spill_quarantined_total.
 func (s *Server) recoverSpilled() error {
 	entries, err := os.ReadDir(s.cfg.SpillDir)
 	if err != nil {
@@ -388,13 +391,18 @@ func (s *Server) recoverSpilled() error {
 		}
 		path := filepath.Join(s.cfg.SpillDir, e.Name())
 		f, err := os.Open(path)
-		if err != nil {
-			return err
+		var id string
+		var acked uint64
+		if err == nil {
+			id, acked, err = readSpillHeader(bufio.NewReader(f))
+			f.Close()
 		}
-		id, acked, err := readSpillHeader(bufio.NewReader(f))
-		f.Close()
 		if err != nil {
-			return fmt.Errorf("server: recovering %s: %w", path, err)
+			if err := os.Rename(path, path+".corrupt"); err != nil {
+				return fmt.Errorf("server: quarantining %s: %w", path, err)
+			}
+			s.m.quarantined.Inc()
+			continue
 		}
 		sess := &session{
 			id:        id,
