@@ -17,7 +17,7 @@
 // comparison (0 disables all three, leaving the parity check), and
 // -server-events the corpus the server experiment uploads.
 // -wire-format chooses the trace serialization the pipeline and server
-// sweeps ingest — the block-compressed PIFTTRC2 by default; the pipeline
+// sweeps ingest — the block-compressed PIFTTRC3 by default; the pipeline
 // experiment additionally reports the per-corpus v1-vs-v2 compression
 // table and cross-format decode throughput. Both experiments print
 // tables only; the bounds on these numbers are tests (see
@@ -58,7 +58,7 @@ func main() {
 	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp pipeline and -exp server")
 	events := flag.Int("events", 1<<21, "synthetic corpus size (events) for -exp pipeline's scaling sweep, wire table and decode comparison; 0 disables them")
 	serverEvents := flag.Int("server-events", 1<<20, "corpus size (events) for -exp server's session-ingest scaling sweep")
-	wireFormat := flag.String("wire-format", "v2", "trace wire format for the -exp pipeline and -exp server corpora: v1 (PIFTTRC1) or v2 (PIFTTRC2)")
+	wireFormat := flag.String("wire-format", "v2", "trace wire format for the -exp pipeline and -exp server corpora: v1 (PIFTTRC1) or v2 (PIFTTRC3)")
 	flag.Parse()
 
 	format, err := trace.ParseFormat(*wireFormat)

@@ -24,7 +24,7 @@
 //
 // -wire-format chooses the trace serialization every request body uses:
 // the fixed-record PIFTTRC1 (default, the conservative baseline) or the
-// block-compressed PIFTTRC2. Verdicts must be identical either way — CI
+// block-compressed PIFTTRC3. Verdicts must be identical either way — CI
 // runs both and additionally asserts the v2 pass moved fewer wire bytes.
 //
 // -hot N adds N "hot" tenants, each streaming a -hot-events-sized
@@ -69,7 +69,7 @@ func main() {
 	healthRetries := flag.Int("health-retries", 30, "attempts for the initial /healthz probe (backoff between attempts)")
 	hot := flag.Int("hot", 0, "additional hot tenants, each streaming one -hot-events multi-process corpus")
 	hotEvents := flag.Int("hot-events", 1<<17, "events per hot tenant's synthetic corpus")
-	wireFormat := flag.String("wire-format", "v1", "trace wire format for request bodies: v1 (PIFTTRC1) or v2 (PIFTTRC2)")
+	wireFormat := flag.String("wire-format", "v1", "trace wire format for request bodies: v1 (PIFTTRC1) or v2 (PIFTTRC3)")
 	flag.Parse()
 	if *chunks < 1 {
 		*chunks = 1

@@ -9,9 +9,11 @@
 //	pifttrace -transcode -load in.pift -save out.pift [-wire-format v1|v2]
 //
 // -save serializes in the format chosen by -wire-format (the
-// block-compressed PIFTTRC2 by default); -load and -transcode sniff the
-// input's magic, so both PIFTTRC1 and PIFTTRC2 files are accepted
-// everywhere a trace file is read.
+// block-compressed PIFTTRC3 by default); -load and -transcode sniff the
+// input's magic, so both PIFTTRC1 and PIFTTRC3 files are accepted
+// everywhere a trace file is read. A file of the earlier compressed
+// format, PIFTTRC2, is refused as a bad magic: transcode it to v1 with a
+// build that still reads it.
 package main
 
 import (
@@ -37,7 +39,7 @@ func main() {
 	save := flag.String("save", "", "write the recorded event trace to this file")
 	load := flag.String("load", "", "analyze a previously saved trace instead of executing an app")
 	transcode := flag.Bool("transcode", false, "convert the -load trace to -wire-format and write it to -save, skipping analysis")
-	wireFormat := flag.String("wire-format", "v2", "wire format for -save and -transcode output: v1 (PIFTTRC1) or v2 (PIFTTRC2)")
+	wireFormat := flag.String("wire-format", "v2", "wire format for -save and -transcode output: v1 (PIFTTRC1) or v2 (PIFTTRC3)")
 	flag.Parse()
 
 	format, err := trace.ParseFormat(*wireFormat)

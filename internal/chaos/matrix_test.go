@@ -213,7 +213,11 @@ func runChaosCell(t *testing.T, raw []byte, want string, mode string, seed int64
 		OnCheckpoint:    save,
 	}
 
-	v2 := bytes.HasPrefix(raw, []byte("PIFTTRC2"))
+	sniff, serr := trace.NewReader(bytes.NewReader(raw))
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	v2 := sniff.Format() == trace.FormatV2
 	rf := chaos.NoReaderFaults()
 	switch mode {
 	case "torn-read":

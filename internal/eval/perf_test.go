@@ -29,7 +29,7 @@ func TestPerfFloors(t *testing.T) {
 	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
 	workers := []int{1, 2, 4, 8}
 
-	// PIFTTRC2 must not buy its bytes with decode time.
+	// PIFTTRC3 must not buy its bytes with decode time.
 	t.Run("decode", func(t *testing.T) {
 		const floor = 0.75
 		dec, err := DecodeBench(1<<21, 3)
@@ -50,7 +50,7 @@ func TestPerfFloors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Log(RenderScalingTable("Shard-owned ingest scaling (2 Mi-event PIFTTRC2 corpus)", rows))
+		t.Log(RenderScalingTable("Shard-owned ingest scaling (2 Mi-event PIFTTRC3 corpus)", rows))
 		checkSpeedup(t, rows, 4, 1.5)
 	})
 	t.Run("server-scaling", func(t *testing.T) {
@@ -59,7 +59,7 @@ func TestPerfFloors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Log(RenderScalingTable("Server session-ingest scaling (1 Mi-event PIFTTRC2 corpus)", rows))
+		t.Log(RenderScalingTable("Server session-ingest scaling (1 Mi-event PIFTTRC3 corpus)", rows))
 		checkSpeedup(t, rows, 4, 1.5)
 	})
 }

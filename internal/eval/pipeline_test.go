@@ -69,7 +69,7 @@ func TestPipelineParityAndRender(t *testing.T) {
 }
 
 // TestPipelineScalingAndRender runs the shard-owned scaling sweep over a
-// PIFTTRC1 corpus (TestSyntheticScalingV2 covers PIFTTRC2) and renders
+// PIFTTRC1 corpus (TestSyntheticScalingV2 covers PIFTTRC3) and renders
 // its table.
 func TestPipelineScalingAndRender(t *testing.T) {
 	cfg := core.Config{NI: 13, NT: 3, Untaint: true}

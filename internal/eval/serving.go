@@ -58,7 +58,7 @@ func EncodeTrace(events []cpu.Event) []byte {
 }
 
 // EncodeTraceFormat is EncodeTrace with the wire format chosen by the
-// caller: PIFTTRC1 fixed records or PIFTTRC2 compressed blocks. Both are
+// caller: PIFTTRC1 fixed records or PIFTTRC3 compressed blocks. Both are
 // self-contained and both serve as a resumed tail — v2 re-blocks the
 // sub-slice from event zero, which the server accepts because offsets
 // travel in the PIFT-Offset header, not the payload.

@@ -193,7 +193,7 @@ func DecodeBench(events, repeats int) (*DecodeBenchResult, error) {
 // decode-throughput comparison under it.
 func RenderWire(rows []WireRow, dec *DecodeBenchResult) string {
 	var b strings.Builder
-	b.WriteString("Wire formats (PIFTTRC1 fixed records vs PIFTTRC2 compressed blocks)\n")
+	b.WriteString("Wire formats (PIFTTRC1 fixed records vs PIFTTRC3 compressed blocks)\n")
 	b.WriteString("  corpus                        events   v1 bytes   v2 bytes   B/event   ratio\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-28s %7d  %9d  %9d  %8.2f  %5.2fx\n",

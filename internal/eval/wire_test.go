@@ -9,11 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// TestWireCompression is the compression acceptance bar from the wire
-// format's design brief: at most 6 bytes/event averaged over DroidBench
-// and the synthetic corpora (25 bytes/event on v1 — at least a 4x
-// reduction), with every corpus's v2 bytes verified to decode back to
-// the exact event sequence before a size is quoted.
+// TestWireCompression is the compression acceptance bar: at most 5
+// bytes/event averaged over DroidBench and the synthetic corpora (25
+// bytes/event on v1 — at least a 5x reduction), with every corpus's v2
+// bytes verified to decode back to the exact event sequence before a
+// size is quoted. PIFTTRC3 reads 4.66 here; PIFTTRC2, whose range starts
+// chained per PID alone, read 5.20, so a regression of the range-start
+// predictor fails it.
 func TestWireCompression(t *testing.T) {
 	h := eval.NewHarness(10)
 	rows, err := eval.WireCompression(h, 64, 50000)
@@ -25,8 +27,8 @@ func TestWireCompression(t *testing.T) {
 	}
 	avg := eval.AverageBytesPerEvent(rows)
 	t.Logf("\n%s", eval.RenderWire(rows, nil))
-	if avg > 6 {
-		t.Fatalf("average v2 wire cost %.2f bytes/event, want ≤6", avg)
+	if avg > 5 {
+		t.Fatalf("average v2 wire cost %.2f bytes/event, want ≤5", avg)
 	}
 	// The ≥4x reduction is an aggregate bar: tiny apps (tens of events)
 	// amortize the fixed 16-byte header badly, so individually they only

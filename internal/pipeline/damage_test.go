@@ -26,7 +26,7 @@ import (
 // reports — same sentinel, same event index — at 1, 2 and 4 workers. The
 // earlier damage sits on the shard with the higher worker index, so a
 // rule that picked the first worker's error, rather than the lowest
-// offset, would report the later damage. In PIFTTRC2 both places are
+// offset, would report the later damage. In PIFTTRC3 both places are
 // CRC-clean structural breaks inside one PID's run, which only the worker
 // that keeps the run decodes, and both PIDs hold taint at their damaged
 // blocks, so the worker decodes their ranges.
@@ -138,7 +138,7 @@ func TestDrainTraceEarliestDamage(t *testing.T) {
 }
 
 // quietBlock generates a trace in which some process is quiet through
-// the PIFTTRC2 block that holds event 25,000, and returns the trace, its
+// the PIFTTRC3 block that holds event 25,000, and returns the trace, its
 // bytes, that block and the quiet PID.
 func quietBlock(t *testing.T) (*trace.Recorder, []byte, trace.BlockInfo, uint32) {
 	t.Helper()
@@ -163,7 +163,7 @@ func quietBlock(t *testing.T) (*trace.Recorder, []byte, trace.BlockInfo, uint32)
 	return nil, nil, b, 0
 }
 
-// encodeV2 serializes rec as PIFTTRC2 and indexes it.
+// encodeV2 serializes rec as PIFTTRC3 and indexes it.
 func encodeV2(t *testing.T, rec *trace.Recorder) ([]byte, *trace.Index) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -177,7 +177,7 @@ func encodeV2(t *testing.T, rec *trace.Recorder) ([]byte, *trace.Index) {
 	return buf.Bytes(), idx
 }
 
-// blockAt returns the PIFTTRC2 block that holds event near.
+// blockAt returns the PIFTTRC3 block that holds event near.
 func blockAt(idx *trace.Index, near uint64) trace.BlockInfo {
 	var b trace.BlockInfo
 	for i := 0; i < idx.Blocks(); i++ {
@@ -207,7 +207,7 @@ func firstOf(t *testing.T, evs []cpu.Event, pid uint32, from int) int {
 	return 0
 }
 
-// breakRangeStart damages pid's first event in PIFTTRC2 block b: its
+// breakRangeStart damages pid's first event in PIFTTRC3 block b: its
 // range-start delta, the first of pid's chain in the block and so the
 // start itself zigzagged (even), gets its low bit set, which decodes to a
 // negative start. The block's CRC is recomputed, so only a decoder that
@@ -230,7 +230,7 @@ func breakRangeStart(t *testing.T, raw []byte, b trace.BlockInfo, evs []cpu.Even
 
 // columnValue returns the offset in payload of the value of event at
 // (an index into the block) in data column col (0 kind/tag, 1 seq, 2
-// range start) of a PIFTTRC2 block payload of count events.
+// range start) of a PIFTTRC3 block payload of count events.
 func columnValue(t *testing.T, payload []byte, count, col, at int) int {
 	t.Helper()
 	i := 0
@@ -256,7 +256,7 @@ func columnValue(t *testing.T, payload []byte, count, col, at int) int {
 	return i
 }
 
-// overlongValue rewrites pid's first event in PIFTTRC2 block b, its value
+// overlongValue rewrites pid's first event in PIFTTRC3 block b, its value
 // in data column col (0 kind/tag, 1 seq), as an 11-byte varint, one byte
 // more than a uint64 may take, and fixes the block's payload length and
 // CRC, so only a decoder that checks the value sees the damage. It

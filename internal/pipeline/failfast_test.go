@@ -49,14 +49,18 @@ func (s poisonStore) Overlaps(pid uint32, r mem.Range) bool {
 
 // TestShardPanicFailsRun: the first panic in a shard fails the run on
 // every route — the dispatcher (EventBatch, then Close) and DrainTrace
-// over PIFTTRC1 and PIFTTRC2 — at 1, 2 and 4 workers. A panic can come
+// over PIFTTRC1 and PIFTTRC3 — at 1, 2 and 4 workers. A panic can come
 // from an Observer (the per-event loop), from a faulty store inside
 // Tracker.EventBatch (given to the workers through NewSeeded), or from a
 // count the tracker refuses (Count on a process that holds taint). In
 // every cell the Result carries an Err that names the panic and no Stats
-// or Verdicts, Events counts the whole stream (nothing hung on the
-// failed shard), pift_pipeline_worker_panics_total reads 1, and both
-// checkpoints after the fault are refused.
+// or Verdicts, and pift_pipeline_worker_panics_total reads 1. The
+// dispatcher takes the whole stream (nothing hung on the failed shard)
+// and refuses both checkpoints after the fault. DrainTrace ends with the
+// phase the fault fell in: the failed worker reads no further, Events is
+// that phase's end, and no checkpoint follows it; the injected count
+// fails its shard at the checkpoint it runs in, which that checkpoint
+// refuses, and so ends the next phase.
 func TestShardPanicFailsRun(t *testing.T) {
 	const (
 		every    = 4096  // checkpoint cadence
@@ -83,10 +87,14 @@ func TestShardPanicFailsRun(t *testing.T) {
 		msg    string // in the panic's message
 		build  func(opts Options) (*Pipeline, error)
 		inject func(p *Pipeline)
+		// What DrainTrace ends with: the end of the phase the fault
+		// fell in, and the checkpoints refused after the fault.
+		drainEvents  uint64
+		drainRefused int
 	}
 	sources := []source{
 		{
-			name: "observer", msg: "injected observer fault",
+			name: "observer", msg: "injected observer fault", drainEvents: injectAt,
 			build: func(opts Options) (*Pipeline, error) {
 				opts.Observer = func(_ int, ev cpu.Event) {
 					if ev.Range.Start >= poisonBase {
@@ -97,7 +105,7 @@ func TestShardPanicFailsRun(t *testing.T) {
 			},
 		},
 		{
-			name: "store", msg: fmt.Sprintf("poisoned range %#x", poisonBase),
+			name: "store", msg: fmt.Sprintf("poisoned range %#x", poisonBase), drainEvents: injectAt,
 			build: func(opts Options) (*Pipeline, error) {
 				trs := make([]*core.Tracker, opts.Workers)
 				for i := range trs {
@@ -108,6 +116,7 @@ func TestShardPanicFailsRun(t *testing.T) {
 		},
 		{
 			name: "count", msg: fmt.Sprintf("PID %d, which is not quiet", tainted),
+			drainEvents: injectAt + every, drainRefused: 1,
 			build: func(opts Options) (*Pipeline, error) { return New(opts), nil },
 			inject: func(p *Pipeline) {
 				w := p.workers[ShardOf(tainted, len(p.workers))]
@@ -173,14 +182,23 @@ func TestShardPanicFailsRun(t *testing.T) {
 					if res.Stats != (core.Stats{}) || res.Verdicts != nil {
 						t.Fatalf("failed run returned output: %d verdicts, stats %+v", len(res.Verdicts), res.Stats)
 					}
-					if res.Events != uint64(len(rec.Events)) || res.Workers != workers {
-						t.Fatalf("Result has %d events at %d workers, want %d at %d", res.Events, res.Workers, len(rec.Events), workers)
+					wantEvents, wantRefused := uint64(len(rec.Events)), 2
+					if route != "dispatcher" {
+						wantEvents, wantRefused = src.drainEvents, src.drainRefused
+					}
+					if res.Events != wantEvents || res.Workers != workers {
+						t.Fatalf("Result has %d events at %d workers, want %d at %d", res.Events, res.Workers, wantEvents, workers)
 					}
 					if got := reg.Counter("pift_pipeline_worker_panics_total", "").Value(); got != 1 {
 						t.Fatalf("pift_pipeline_worker_panics_total = %d, want 1", got)
 					}
-					if refused != 2 {
-						t.Fatalf("%d checkpoints after the fault, want 2", refused)
+					if refused != wantRefused {
+						t.Fatalf("%d checkpoints after the fault, want %d", refused, wantRefused)
+					}
+					// The one worker stopped reading at its failure, short
+					// of the phase's end.
+					if read := reg.Counter("pift_pipeline_events_total", "").Value(); route != "dispatcher" && workers == 1 && read >= res.Events {
+						t.Fatalf("the failed worker read %d events of a drain that ended at %d", read, res.Events)
 					}
 				})
 			}

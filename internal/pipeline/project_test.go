@@ -47,7 +47,7 @@ func drainBoth(t *testing.T, raw []byte, opts pipeline.Options) (projected, full
 
 // TestDrainTraceProjectedMatchesFull: a DrainTrace worker reads the
 // events of a process its tracker reports quiet without their ranges,
-// and the Result must not show it. Over tracegen PIFTTRC2 corpora with no
+// and the Result must not show it. Over tracegen PIFTTRC3 corpora with no
 // sources, the default density and a dense one, at 1, 8 and 64 PIDs,
 // drained at 1, 2 and 4 workers, without checkpoints and with phases
 // that cut blocks, both drains succeed, and Stats, verdicts and every
@@ -84,7 +84,7 @@ func TestDrainTraceProjectedMatchesFull(t *testing.T) {
 	}
 }
 
-// FuzzDrainTraceProjected drains a tracegen PIFTTRC2 trace of the
+// FuzzDrainTraceProjected drains a tracegen PIFTTRC3 trace of the
 // fuzzer's shape twice, as is and with a no-op Observer, which turns
 // projection off, and requires both to succeed with the same Stats,
 // verdicts and checkpoint bytes. Small quanta and dense sinks reach block layouts the
@@ -128,7 +128,7 @@ func FuzzDrainTraceProjected(f *testing.F) {
 
 // TestDrainTraceEventsTotal: pift_pipeline_events_total counts every
 // event a DrainTrace worker analyzes, those its reader counted instead of
-// delivering included. Over tracegen PIFTTRC2 corpora with no sources,
+// delivering included. Over tracegen PIFTTRC3 corpora with no sources,
 // the default density and a dense one, drained at 1, 2 and 4 workers,
 // with and without a no-op Observer and with checkpoints every 5000
 // events, the counter ends at the trace's event count.

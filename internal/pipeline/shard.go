@@ -18,7 +18,7 @@ import (
 // the range itself, keeps only the events of its own PIDs (trace.Reader's
 // filtered read, keep = ShardOf(pid, n) == w, so everything at n = 1)
 // and analyzes them in place. A PIFTTRC1 worker validates every record but
-// copies only its own; a PIFTTRC2 worker reads each block's PID-run
+// copies only its own; a PIFTTRC3 worker reads each block's PID-run
 // column and steps over the runs of other shards' PIDs without decoding
 // them, so the decode work that is duplicated across workers is the
 // cheap part of it. Without an Observer it also counts every process its
@@ -56,7 +56,7 @@ import (
 // DrainTrace consumes the serialized trace in ra — either wire format,
 // sniffed from the header — through shard-owned readers and returns the
 // merged result, honoring Options.CheckpointEvery/OnCheckpoint. For a
-// block-compressed PIFTTRC2 trace the readers are positioned through the
+// block-compressed PIFTTRC3 trace the readers are positioned through the
 // block index (trace.LoadIndex) instead of the fixed record stride; a
 // phase edge may fall inside a block, and phase and checkpoint offsets
 // stay in event counts, so checkpoints fire at identical offsets on both
@@ -68,8 +68,12 @@ import (
 // cleanly and the error returned — for a decode error, the one a plain
 // reader over the same bytes reports, except for damage to the range
 // values of a quiet process (see above); the partial Result is discarded.
-// A shard panic fails the drain as it fails Close: the Result keeps Err,
-// Workers and Events, and holds no Stats or Verdicts.
+// A shard panic fails the drain as it fails Close: the failed worker
+// stops reading, the drain ends with the phase, without its checkpoint,
+// and the Result keeps Err, Workers and Events (the end of that phase)
+// and holds no Stats or Verdicts. A decode error a worker reports in that
+// phase takes precedence; one in the failed worker's share of the phase
+// after its failure goes unread.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
 	p.Sync()
 	idx, err := trace.LoadIndex(ra)
@@ -103,6 +107,10 @@ func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, erro
 			return Result{}, err
 		}
 		p.events = end
+		if p.failed() {
+			res := p.Close()
+			return res, res.Err
+		}
 		if err := p.maybeCheckpoint(); err != nil {
 			p.Close()
 			return Result{}, err
@@ -140,6 +148,18 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 		}
 	}
 	return err
+}
+
+// failed reports whether a shard has failed. Between phases the workers
+// are quiescent, so the phase barrier orders their err writes before
+// this read.
+func (p *Pipeline) failed() bool {
+	for _, w := range p.workers {
+		if w.err != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // maybeCheckpoint runs the checkpoint hook when the dispatch count sits on

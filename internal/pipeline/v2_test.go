@@ -33,7 +33,7 @@ func oracleKey(stats core.Stats, verdicts []core.SinkVerdict) string {
 }
 
 // TestDrainTraceV2Parity is the cross-format acceptance matrix: the same
-// workloads serialized as PIFTTRC1 and PIFTTRC2 must produce
+// workloads serialized as PIFTTRC1 and PIFTTRC3 must produce
 // byte-identical stats and verdicts on the sequential oracle, the
 // dispatcher (fed by an EventBatch loop), and the shard-owned DrainTrace
 // at 1/2/4/8 workers.

@@ -100,8 +100,9 @@ func (w *worker) run(obs func(int, cpu.Event), free chan []cpu.Event, inflight *
 // events in trace order, keeps its own PIDs' events, and analyzes each
 // decoded batch in place. The batches flow through the same process()
 // path as push mode, and so do the counts of a projected read (Count), so
-// a panic fails the shard the same way. Cancellation is checked once per
-// batch.
+// a panic fails the shard the same way. A failed shard reads no further:
+// it would only discard what it decodes, and the drain ends with the
+// phase. Cancellation is checked once per batch.
 func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event)) {
 	defer ph.wg.Done()
 	if cap(w.buf) < ph.batch {
@@ -114,7 +115,7 @@ func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event)) {
 		proj = w
 	}
 	done := ph.ctx.Done()
-	for {
+	for w.err == nil {
 		if done != nil {
 			select {
 			case <-done:

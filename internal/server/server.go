@@ -302,7 +302,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 //
 // One commit rule covers both grants and both wire formats: the ack
 // advances by the events decoded. A cut PIFTTRC1 body acks at the exact
-// event the cut landed on, a cut PIFTTRC2 body at the last whole block —
+// event the cut landed on, a cut PIFTTRC3 body at the last whole block —
 // the reader refuses a torn or CRC-damaged block outright, so no
 // partial-block event is ever applied — and the client resends from the
 // ack either way. A shard fault commits nothing: the session keeps the

@@ -14,7 +14,7 @@ import (
 	"repro/internal/trace/tracegen"
 )
 
-// postV2 sends events[start:end] as one PIFTTRC2 request.
+// postV2 sends events[start:end] as one PIFTTRC3 request.
 func (s *testService) postV2(t *testing.T, id string, events []cpu.Event, start, end int) (server.IngestResponse, int) {
 	t.Helper()
 	body := eval.EncodeTraceFormat(events[start:end], trace.FormatV2)
@@ -22,7 +22,7 @@ func (s *testService) postV2(t *testing.T, id string, events []cpu.Event, start,
 }
 
 // TestIngestParityV2 is the v2 basic contract on the sequential path:
-// whole-stream and chunked uploads of PIFTTRC2 bodies produce verdicts
+// whole-stream and chunked uploads of PIFTTRC3 bodies produce verdicts
 // identical to the v1 upload and to the one-shot inline replay — and the
 // compressed stream crosses the wire in at most a quarter of the bytes,
 // observable through pift_server_ingest_bytes_total.
@@ -70,8 +70,9 @@ func TestIngestParityV2(t *testing.T) {
 }
 
 // TestErrorTaxonomyV2 maps each v2 decode failure class onto its HTTP
-// status — 400 for truncation and unknown magic, 413 for size-cap
-// violations, 422 for corruption — and none of them onto a 5xx.
+// status — 400 for truncation and unknown magic (PIFTTRC2 included), 413
+// for size-cap violations, 422 for corruption — and none of them onto a
+// 5xx.
 func TestErrorTaxonomyV2(t *testing.T) {
 	const n = trace.DefaultBlockEvents + 100
 	events := tracegen.Generate(tracegen.Spec{Seed: 37, Events: n, PIDs: 3}).Events
@@ -89,8 +90,11 @@ func TestErrorTaxonomyV2(t *testing.T) {
 		}
 	}
 
-	badMagic := append([]byte("PIFTTRC3"), full[8:]...)
-	check("magic", badMagic, http.StatusBadRequest, "not-a-trace")
+	// PIFTTRC2, the compressed format PIFTTRC3 replaced, is refused like
+	// any unknown magic.
+	for _, magic := range []string{"PIFTTRC2", "PIFTTRC4"} {
+		check("magic", append([]byte(magic), full[8:]...), http.StatusBadRequest, "not-a-trace")
+	}
 
 	tooMany := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint64(tooMany[8:], 1<<40)
@@ -110,7 +114,7 @@ func TestErrorTaxonomyV2(t *testing.T) {
 	check("torn-payload", full[:len(full)-9], http.StatusBadRequest, "truncated")
 }
 
-// TestParallelIngestV2 drives PIFTTRC2 through four-shard ingest: a
+// TestParallelIngestV2 drives PIFTTRC3 through four-shard ingest: a
 // Content-Length ("spooled") body commits with verdicts and stats
 // identical to the sequential replay; a torn one acks at the torn block's
 // first event and a resend from there converges; a chunked body reaches

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 
 	"repro/internal/cpu"
@@ -47,7 +48,9 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	written += 8
 	var rec [eventWireSize]byte
 	for _, ev := range r.Events {
-		putEventV1(rec[:], ev)
+		if err := putEventV1(rec[:], ev); err != nil {
+			return written, err
+		}
 		if _, err := bw.Write(rec[:]); err != nil {
 			return written, err
 		}
@@ -56,15 +59,37 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
+// checkEvent refuses an event that a trace cannot carry as it is: an
+// unknown kind or an inverted range, which every reader rejects, and a
+// Tag outside int32, which PIFTTRC1 (and a PIFTSNP1 snapshot) stores in
+// 32 bits. Every writer calls it, so no format changes a tag another
+// format keeps.
+func checkEvent(ev cpu.Event) error {
+	if ev.Kind > cpu.EvSinkCheck {
+		return fmt.Errorf("trace: cannot encode unknown event kind %d", ev.Kind)
+	}
+	if ev.Range.End < ev.Range.Start {
+		return fmt.Errorf("trace: cannot encode inverted range [%d,%d)", ev.Range.Start, ev.Range.End)
+	}
+	if ev.Tag != int(int32(ev.Tag)) {
+		return fmt.Errorf("trace: cannot encode tag %d outside int32", ev.Tag)
+	}
+	return nil
+}
+
 // putEventV1 encodes one fixed-stride PIFTTRC1 record into rec, which
-// must be at least eventWireSize bytes.
-func putEventV1(rec []byte, ev cpu.Event) {
+// must be at least eventWireSize bytes, refusing what checkEvent refuses.
+func putEventV1(rec []byte, ev cpu.Event) error {
+	if err := checkEvent(ev); err != nil {
+		return err
+	}
 	rec[0] = byte(ev.Kind)
 	binary.LittleEndian.PutUint32(rec[1:], ev.PID)
 	binary.LittleEndian.PutUint64(rec[5:], ev.Seq)
 	binary.LittleEndian.PutUint32(rec[13:], ev.Range.Start)
 	binary.LittleEndian.PutUint32(rec[17:], ev.Range.End)
 	binary.LittleEndian.PutUint32(rec[21:], uint32(int32(ev.Tag)))
+	return nil
 }
 
 // ReadFrom deserializes a trace written by WriteTo, materializing the full

@@ -2,13 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/mem"
 )
 
 // hugeClaimV1 is a bare PIFTTRC1 header declaring 808 M events (the
@@ -71,7 +75,7 @@ func FuzzReadFrom(f *testing.F) {
 // Each filtered read is then repeated projected: the same PIDs kept, and
 // half of them counted when the reader may. Its events must be the
 // filtered read's, minus the loads and stores of each PID it counts in a
-// PIFTTRC2 block where the PID registers no source, whose sink checks
+// PIFTTRC3 block where the PID registers no source, whose sink checks
 // carry ProjectedRange; each count must be those loads and stores; and it
 // must end as the filtered read does, except past a failure in a range
 // column, whose values a projected read does not check. DrainTrace's
@@ -85,7 +89,7 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-3]) // mid-payload truncation
 	f.Add(buf.Bytes()[:HeaderSize+blockHeaderSize-2])
-	f.Add([]byte("PIFTTRC2"))
+	f.Add([]byte("PIFTTRC3"))
 	f.Add([]byte{})
 	var quiet bytes.Buffer // f.Add keeps the slice: buf's bytes must stay
 	if _, err := quietTrace(300).WriteToFormat(&quiet, FormatV2); err != nil {
@@ -154,7 +158,7 @@ func FuzzDecodeV2(f *testing.F) {
 }
 
 // readResult is how one read of a fuzz input ended: the events it
-// returned, the end of the PIFTTRC2 block each came from, its final error
+// returned, the end of the PIFTTRC3 block each came from, its final error
 // (io.EOF when clean), and its Offset there.
 type readResult struct {
 	events []cpu.Event
@@ -253,7 +257,7 @@ func checkFilteredReads(t *testing.T, data []byte, plain []cpu.Event, plainErr e
 // varint in one, or a range leaving the address space.
 var rangeColumnFailure = regexp.MustCompile(`range[- ](start|length|end)`)
 
-// blockPID names one PID's events in one PIFTTRC2 block, by the block's
+// blockPID names one PID's events in one PIFTTRC3 block, by the block's
 // end.
 type blockPID struct {
 	block uint64
@@ -400,10 +404,10 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("PIFTTRC1"))
 	f.Add([]byte{})
 	f.Add([]byte(hugeClaimV1))
-	// A PIFTTRC2 header and a block header that claims the wrong first
+	// A PIFTTRC3 header and a block header that claims the wrong first
 	// event: corrupt, not truncated, though it is shorter than the 25
 	// bytes per event a v1 stream of that count would need.
-	f.Add([]byte("PIFTTRC20000\x00\x00\x00\x00" + strings.Repeat("0", 24)))
+	f.Add([]byte("PIFTTRC30000\x00\x00\x00\x00" + strings.Repeat("0", 24)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -437,7 +441,7 @@ func FuzzReader(f *testing.F) {
 		}
 		// Truncation (as opposed to corruption) must carry
 		// ErrUnexpectedEOF. The size arithmetic is PIFTTRC1's fixed
-		// stride; FuzzDecodeV2 holds PIFTTRC2 streams to the taxonomy.
+		// stride; FuzzDecodeV2 holds PIFTTRC3 streams to the taxonomy.
 		if !clean && r.Format() == FormatV1 && uint64(len(data)) < 16+r.Len()*eventWireSize &&
 			!errors.Is(lastErr, io.ErrUnexpectedEOF) {
 			// Short input can still fail on a corrupt record before running
@@ -454,6 +458,62 @@ func FuzzReader(f *testing.F) {
 		}
 		if clean && len(rec.Events) != events {
 			t.Fatalf("Reader decoded %d events, ReadFrom %d", events, len(rec.Events))
+		}
+	})
+}
+
+// FuzzRoundTripV2 encodes arbitrary events in the compressed format and
+// requires every one back unchanged: kinds 0–3, any PID, seq and start,
+// lengths up to the address space's edge, and tags anywhere in int32.
+// Each event takes 25 bytes of the input in PIFTTRC1's record layout,
+// its kind masked to two bits and its length clamped to the edge, so a
+// v1 trace body is a seed. The events go through WriteToFormat and
+// ReadFrom, and through blocks of 1 to 16 events (blk) read with
+// NextBatchKeep, whole and keeping the even PIDs.
+func FuzzRoundTripV2(f *testing.F) {
+	for _, rec := range []*Recorder{randomTrace(40, 5), uniformTrace(100)} {
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(6), buf.Bytes()[HeaderSize:])
+	}
+	f.Fuzz(func(t *testing.T, blk uint8, data []byte) {
+		rec := NewRecorder(len(data) / eventWireSize)
+		for ; len(data) >= eventWireSize; data = data[eventWireSize:] {
+			start := binary.LittleEndian.Uint32(data[13:])
+			rec.Event(cpu.Event{
+				Kind:  cpu.EventKind(data[0] & 3),
+				PID:   binary.LittleEndian.Uint32(data[1:]),
+				Seq:   binary.LittleEndian.Uint64(data[5:]),
+				Range: mem.Range{Start: start, End: start + min(binary.LittleEndian.Uint32(data[17:]), math.MaxUint32-start)},
+				Tag:   int(int32(binary.LittleEndian.Uint32(data[21:]))),
+			})
+		}
+		var whole bytes.Buffer
+		if _, err := rec.WriteToFormat(&whole, FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrom(bytes.NewReader(whole.Bytes()))
+		if err != nil || !slices.Equal(back.Events, rec.Events) {
+			t.Fatalf("WriteToFormat + ReadFrom: events differ (%v)", err)
+		}
+		var blocks bytes.Buffer
+		bw := NewBlockWriter(&blocks, uint64(rec.Len()), int(blk%16)+1)
+		for _, ev := range rec.Events {
+			if err := bw.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, keep := range []func(uint32) bool{nil, func(pid uint32) bool { return pid%2 == 0 }} {
+			got := readAll(t, blocks.Bytes(), 7, func(r *Reader, dst []cpu.Event) (int, error) { return r.NextBatchKeep(dst, keep) })
+			want := slices.DeleteFunc(slices.Clone(rec.Events), func(ev cpu.Event) bool { return keep != nil && !keep(ev.PID) })
+			if got.err != io.EOF || !slices.Equal(got.events, want) {
+				t.Fatalf("blocks of %d, NextBatchKeep: events differ (%v)", blk%16+1, got.err)
+			}
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 
 // Block index — what keeps segment-planned ingestion arithmetic on the
 // compressed format. PIFTTRC1 needs no index at all (event i lives at
-// HeaderSize + i*EventSize); PIFTTRC2 blocks are variable-length, so the
+// HeaderSize + i*EventSize); PIFTTRC3 blocks are variable-length, so the
 // planner instead walks the block headers once with O(#blocks) tiny
 // ReadAts — no payload is read, checksummed, or decoded — and records
 // (first event, count, byte offset, payload length) per block. With that

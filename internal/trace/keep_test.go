@@ -31,7 +31,7 @@ func drainKeep(r *trace.Reader, keep func(pid uint32) bool, batch int) ([]cpu.Ev
 
 // TestNextBatchKeepIsFilteredNextBatch is the filtered read's defining
 // property: over tracegen traces with 64 PIDs and with one, in PIFTTRC1
-// and in PIFTTRC2 at block sizes 1, 7 and 4096, and through segment
+// and in PIFTTRC3 at block sizes 1, 7 and 4096, and through segment
 // readers whose segments start and end inside blocks, NextBatchKeep with
 // keep = pid%n == k returns exactly the plain NextBatch stream filtered by
 // that predicate, every reader ends with Offset at its segment's end, and

@@ -43,7 +43,7 @@ type Reader struct {
 	read  uint64 // events decoded so far
 	buf   []byte // block-read scratch, grown once and reused
 
-	// PIFTTRC2 state; zero for a v1 stream.
+	// PIFTTRC3 state; zero for a v1 stream.
 	v2        bool
 	total     uint64                // physical declared count (count can stop short of it)
 	nextBlock uint64                // first event index of the next block on the stream
@@ -55,7 +55,7 @@ type Reader struct {
 }
 
 // NewReader wraps r, reading and validating the trace header. The wire
-// format — PIFTTRC1 or PIFTTRC2 — is sniffed from the magic; everything
+// format — PIFTTRC1 or PIFTTRC3 — is sniffed from the magic; everything
 // after that (Next/NextBatch/Skip/Offset, the error taxonomy) behaves
 // identically for both. The stream must then be drained with Next; the
 // first call after the last event returns io.EOF.
@@ -166,8 +166,8 @@ func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
 // is consumed exactly as NextBatch consumes it — in order, with the same
 // error taxonomy — and Offset counts every event consumed, kept or not,
 // so a reader ends at the same Offset whatever it keeps. What keep
-// changes is what is copied into dst and, on PIFTTRC2, what is checked:
-// a PIFTTRC1 read still validates every record, but a PIFTTRC2 read
+// changes is what is copied into dst and, on PIFTTRC3, what is checked:
+// a PIFTTRC1 read still validates every record, but a PIFTTRC3 read
 // steps over a rejected PID run without decoding its values, so damage
 // inside a run that the block CRC does not catch surfaces only for
 // readers that keep the run. Any failure a filtered read reports, a
@@ -177,7 +177,7 @@ func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
 // A call returns at least one event unless the stream ends or fails;
 // with a selective keep it may return fewer than len(dst) events before
 // the end. Offset advances per record on PIFTTRC1 and, for a filtered
-// PIFTTRC2 read, past a whole block once its last kept event has been
+// PIFTTRC3 read, past a whole block once its last kept event has been
 // returned. A reader serves either filtered reads or the plain ones
 // (Next, NextBatch, Skip), not a mix.
 func (d *Reader) NextBatchKeep(dst []cpu.Event, keep func(pid uint32) bool) (int, error) {
@@ -203,7 +203,7 @@ type Projector interface {
 }
 
 // NextBatchProject is NextBatchKeep that may count what it would
-// deliver: in a PIFTTRC2 block the reader covers whole, a kept PID that
+// deliver: in a PIFTTRC3 block the reader covers whole, a kept PID that
 // p answers Quiet for, and that registers no source in the block, has
 // its loads and stores reported to p.Count as two numbers instead of
 // copied into dst. Only its sink checks are copied, in stream order among
@@ -220,7 +220,7 @@ type Projector interface {
 // read with the same keep fails, with the same sentinel at the same
 // Offset, except that a malformed or out-of-address-space value in a
 // range column it steps over goes unreported. PIFTTRC1 records, and the
-// PIFTTRC2 blocks a segment reader enters or leaves inside, are read
+// PIFTTRC3 blocks a segment reader enters or leaves inside, are read
 // whole, and p is not asked there.
 func (d *Reader) NextBatchProject(dst []cpu.Event, keep func(pid uint32) bool, p Projector) (int, error) {
 	return d.nextBatch(dst, keeper{keep: keep, proj: p})

@@ -9,7 +9,7 @@ import (
 	"repro/internal/cpu"
 )
 
-// The PIFTTRC2 decode path. A v2 Reader decodes one block at a time into
+// The PIFTTRC3 decode path. A v2 Reader decodes one block at a time into
 // a reused scratch slice (d.pending) and serves Next/NextBatch/
 // NextBatchKeep/NextBatchProject out of it, so after the first block
 // grows the scratch the steady state allocates nothing — the same

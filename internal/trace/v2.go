@@ -12,18 +12,19 @@ import (
 	"repro/internal/cpu"
 )
 
-// PIFTTRC2 — the block-compressed wire format. PIFTTRC1 spends a fixed
+// PIFTTRC3 — the block-compressed wire format. PIFTTRC1 spends a fixed
 // 25 bytes on every event even though the stream is massively redundant:
 // Seq is near-monotonic (front ends emit a per-process instruction
 // counter that mostly steps by small increments), PIDs arrive in long
 // context-switch runs, ranges are small and local, and kinds fit in two
 // bits. At serving scale the tracker is no longer the binding resource —
-// the bytes moved over HTTP and spilled to disk are — so v2 trades a
-// little encode/decode arithmetic for a ~5x smaller stream.
+// the bytes moved over HTTP and spilled to disk are — so the compressed
+// format trades a little encode/decode arithmetic for a ~5x smaller
+// stream.
 //
 // Layout (little-endian throughout):
 //
-//	magic   [8]byte  "PIFTTRC2"
+//	magic   [8]byte  "PIFTTRC3"
 //	count   uint64   total event count (same 16-byte header as v1)
 //	blocks  until count events are covered, each:
 //	  first uint64   absolute index of the block's first event
@@ -39,16 +40,20 @@ import (
 //	pid runs         (uvarint dictIndex, uvarint runLen)… summing to count
 //	kind/tag         count × uvarint(kind | zigzag(tag)<<2)
 //	seq              count × uvarint(zigzag(seq delta)), chained per PID
-//	range start      count × uvarint(zigzag(start delta)), chained per PID
+//	range start      count × uvarint(zigzag(start delta)), chained per (PID, kind)
 //	range length     count × uvarint(end-start)
 //
-// The seq and range-start columns delta against the previous event of
-// the *same PID* (every chain starting at 0 at the block boundary):
-// Seq is a per-process instruction counter and range locality is
-// per-process too, so chaining per PID keeps deltas single-byte even
-// when the stream interleaves processes finely — which is both where
-// the compression comes from and why decode stays on the single-byte
-// varint fast path.
+// Every chain starts at 0 at the block boundary. Seq is a per-process
+// instruction counter, so its deltas chain per PID. Range starts chain
+// per PID and kind, four chains per dictionary entry: PIFT's window pairs
+// a load with a store a few instructions later, usually a copy from one
+// buffer into another, so a process's loads and its stores walk separate
+// address streams. Chained per PID alone, every switch between the two
+// kinds is a jump between the buffers, a 3-byte varint and a mispredicted
+// branch in the decoder; chained per kind it is the stride within one
+// buffer. The previous format, PIFTTRC2, chained range starts per PID
+// alone; no decoder for it remains, so it is refused as a bad magic.
+// DESIGN.md §12 has the measured delta sizes of both.
 //
 // Self-contained blocks are what keep the shard-owned ingest working at
 // block granularity: an Index built from one cheap header walk locates
@@ -60,7 +65,7 @@ import (
 // the same taxonomy v1 uses: ErrTruncated, ErrCorrupt, ErrBadMagic,
 // ErrTooLarge.
 
-var traceMagicV2 = [8]byte{'P', 'I', 'F', 'T', 'T', 'R', 'C', '2'}
+var traceMagicV2 = [8]byte{'P', 'I', 'F', 'T', 'T', 'R', 'C', '3'}
 
 // Format names a trace wire format.
 type Format uint8
@@ -68,7 +73,7 @@ type Format uint8
 const (
 	// FormatV1 is the fixed-stride PIFTTRC1 format (25 bytes/event).
 	FormatV1 Format = 1
-	// FormatV2 is the block-compressed PIFTTRC2 format.
+	// FormatV2 is the block-compressed PIFTTRC3 format.
 	FormatV2 Format = 2
 )
 
@@ -87,7 +92,7 @@ func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "v1", "V1", "PIFTTRC1":
 		return FormatV1, nil
-	case "v2", "V2", "PIFTTRC2":
+	case "v2", "V2", "PIFTTRC3":
 		return FormatV2, nil
 	}
 	return 0, fmt.Errorf("trace: unknown wire format %q (want v1 or v2)", s)
@@ -125,14 +130,14 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // encScratch is a block encoder's reusable working state: the PID
-// dictionary, each event's dictionary index, and the per-PID delta
-// chains. Cleared per block, allocation-free once warm.
+// dictionary, each event's dictionary index, and the delta chains.
+// Cleared per block, allocation-free once warm.
 type encScratch struct {
 	dict  map[uint32]uint64
 	order []uint32
 	idx   []uint16 // per-event dictionary index
 	seq   []uint64 // per-dict-entry seq chain
-	start []int64  // per-dict-entry range-start chain
+	start []int64  // range-start chains, at 4*entry + kind
 }
 
 // resetU64 sizes s to n with every entry zero, reusing capacity.
@@ -160,11 +165,8 @@ func resetI64(s []int64, n int) []int64 {
 // block once warm.
 func appendBlockPayload(dst []byte, evs []cpu.Event, sc *encScratch) ([]byte, error) {
 	for _, ev := range evs {
-		if ev.Kind > cpu.EvSinkCheck {
-			return dst, fmt.Errorf("trace: cannot encode unknown event kind %d", ev.Kind)
-		}
-		if ev.Range.End < ev.Range.Start {
-			return dst, fmt.Errorf("trace: cannot encode inverted range [%d,%d)", ev.Range.Start, ev.Range.End)
+		if err := checkEvent(ev); err != nil {
+			return dst, err
 		}
 	}
 	// PID dictionary in first-appearance order, plus each event's
@@ -209,11 +211,12 @@ func appendBlockPayload(dst []byte, evs []cpu.Event, sc *encScratch) ([]byte, er
 		dst = binary.AppendUvarint(dst, zigzag(int64(ev.Seq-sc.seq[d])))
 		sc.seq[d] = ev.Seq
 	}
-	// Range-start deltas, chained per PID for the same locality reason
-	// (signed: small magnitudes either way).
-	sc.start = resetI64(sc.start, len(sc.order))
+	// Range-start deltas, chained per PID and kind: a process's loads
+	// and stores walk separate buffers (signed: small magnitudes either
+	// way).
+	sc.start = resetI64(sc.start, 4*len(sc.order))
 	for k, ev := range evs {
-		d := sc.idx[k]
+		d := 4*int(sc.idx[k]) + int(ev.Kind)
 		dst = binary.AppendUvarint(dst, zigzag(int64(ev.Range.Start)-sc.start[d]))
 		sc.start[d] = int64(ev.Range.Start)
 	}
@@ -415,7 +418,7 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 	}
 	sc.runs = runs
 	sc.seq = resetU64(sc.seq, int(ndict))
-	sc.start = resetI64(sc.start, int(ndict))
+	sc.start = resetI64(sc.start, 4*int(ndict))
 	kinds := i
 	out, i := sc.kindColumn(payload, kinds, dst)
 	if i >= 0 && len(sc.sources) > 0 {
@@ -639,16 +642,17 @@ func (sc *decScratch) rangeRuns() []blockRun {
 // rangeColumns decodes the range-start and range-length columns from
 // payload[i], walking the runs once per column: a skip run is stepped
 // over whole, and a kept run's slots of dst go to the column's run
-// decoder. The range-start deltas chain per dictionary entry (start,
-// zero at the block start). It returns the index past the last column,
-// or -1 and what was wrong.
+// decoder. The range-start deltas chain per dictionary entry and kind
+// (start, four chains per entry at 4*entry + kind, zero at the block
+// start). It returns the index past the last column, or -1 and what was
+// wrong.
 func rangeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, start []int64) (int, string) {
 	for _, r := range runs {
 		ok := true
 		if r.skip {
 			i = skipUvarints(payload, i, int(r.n))
 		} else {
-			i, start[r.id], ok = startRun(payload, i, dst[r.at:r.at+r.n], start[r.id])
+			i, ok = startRun(payload, i, dst[r.at:r.at+r.n], (*[4]int64)(start[4*int(r.id):]))
 		}
 		if i < 0 {
 			return -1, "bad range-start column"
@@ -683,9 +687,9 @@ func rangeColumns(payload []byte, i int, runs []blockRun, dst []cpu.Event, start
 // and a non-inlined call per column per event is most of the decode
 // cost, so each run decoder carries 1/2/3-byte fast paths inline — the
 // uint(i)+k < uint(len) compares both guard the loads and eliminate the
-// bounds checks, and three bytes cover every varint the per-PID delta
-// chains produce in practice (a 64 KiB-arena start delta zigzags into 17
-// bits) — with only longer or payload-end varints taking the call. Each
+// bounds checks, and three bytes cover every varint the delta chains
+// produce in practice (a 64 KiB-arena start delta zigzags into 17 bits)
+// — with only longer or payload-end varints taking the call. Each
 // later branch is only reached with the previous bytes' continuation
 // bits set, so the masks are exact.
 
@@ -734,7 +738,9 @@ func seqRun(payload []byte, i int, run []cpu.Event, seq uint64) (int, uint64) {
 	return i, seq
 }
 
-func startRun(payload []byte, i int, run []cpu.Event, start int64) (int, int64, bool) {
+// startRun continues the run's entry's range-start chains, one per kind,
+// which kindTagRun has decoded into the run's events.
+func startRun(payload []byte, i int, run []cpu.Event, start *[4]int64) (int, bool) {
 	for k := range run {
 		var v uint64
 		if uint(i) < uint(len(payload)) && payload[i] < 0x80 {
@@ -747,15 +753,17 @@ func startRun(payload []byte, i int, run []cpu.Event, start int64) (int, int64, 
 			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2])<<14
 			i += 3
 		} else if v, i = getUvarint(payload, i); i < 0 {
-			return -1, 0, true
+			return -1, true
 		}
-		start += unzigzag(v)
-		if start < 0 || start > 1<<32-1 {
-			return i, 0, false
+		c := &start[run[k].Kind&3]
+		s := *c + unzigzag(v)
+		if s < 0 || s > 1<<32-1 {
+			return i, false
 		}
-		run[k].Range.Start = uint32(start)
+		*c = s
+		run[k].Range.Start = uint32(s)
 	}
-	return i, start, true
+	return i, true
 }
 
 func lengthRun(payload []byte, i int, run []cpu.Event) (int, bool) {
@@ -782,7 +790,7 @@ func lengthRun(payload []byte, i int, run []cpu.Event) (int, bool) {
 	return i, true
 }
 
-// BlockWriter streams a PIFTTRC2 trace: events appended one at a time
+// BlockWriter streams a PIFTTRC3 trace: events appended one at a time
 // are framed into blocks and written through as each fills. The total
 // event count must be known up front — it lives in the 16-byte header,
 // exactly like v1 — and Close fails if the appended count disagrees.
@@ -955,7 +963,9 @@ func Transcode(dst io.Writer, src io.Reader, f Format) (uint64, error) {
 		for {
 			n, rerr := r.NextBatch(buf)
 			for _, ev := range buf[:n] {
-				putEventV1(rec[:], ev)
+				if err := putEventV1(rec[:], ev); err != nil {
+					return done, err
+				}
 				if _, err := w.Write(rec[:]); err != nil {
 					return done, err
 				}

@@ -120,7 +120,7 @@ func reCRC(raw []byte, payload []byte) []byte {
 // class must map onto the sentinel classifyIngest keys 400/422/413 on.
 func TestV2ErrorTaxonomy(t *testing.T) {
 	// A single-block stream whose payload layout is pinned by
-	// TestV2GoldenBytes; payload spans [36, 36+35).
+	// TestV2GoldenBytes; payload spans [36, 36+39).
 	rec := NewRecorder(6)
 	rec.Event(cpu.Event{Kind: cpu.EvSourceRegister, PID: 7, Seq: 100, Range: mem.Range{Start: 4096, End: 4100}, Tag: 1})
 	rec.Event(cpu.Event{Kind: cpu.EvLoad, PID: 7, Seq: 101, Range: mem.Range{Start: 4096, End: 4100}})
@@ -143,14 +143,18 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	// PIFTTRC2, the format this one replaced, has no decoder left: its
+	// range starts chain per PID alone, so reading its blocks as these
+	// would misplace every range.
 	t.Run("bad-magic", func(t *testing.T) {
-		bad := append([]byte(nil), raw...)
-		bad[7] = '3' // "PIFTTRC3"
-		if err := drain(bad); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("err = %v, want ErrBadMagic", err)
-		}
-		if _, err := LoadIndex(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("LoadIndex err = %v, want ErrBadMagic", err)
+		for _, magic := range []string{"PIFTTRC2", "PIFTTRC4"} {
+			bad := append([]byte(magic), raw[8:]...)
+			if err := drain(bad); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("%s: err = %v, want ErrBadMagic", magic, err)
+			}
+			if _, err := LoadIndex(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("%s: LoadIndex err = %v, want ErrBadMagic", magic, err)
+			}
 		}
 	})
 

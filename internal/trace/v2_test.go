@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -360,17 +363,17 @@ func TestV2GoldenBytes(t *testing.T) {
 	rec.Event(cpu.Event{Kind: cpu.EvStore, PID: 7, Seq: 104, Range: mem.Range{Start: 4096, End: 4100}})
 	got := encodeFormat(t, rec, FormatV2)
 	const golden = "" +
-		"5049465454524332" + // magic "PIFTTRC2"
+		"5049465454524333" + // magic "PIFTTRC3"
 		"0600000000000000" + // count = 6
 		"0000000000000000" + // block 0: first = 0
 		"06000000" + // block 0: count = 6
-		"24000000" + // block 0: clen = 36
-		"b66df30f" + // block 0: CRC-32C of the payload
+		"27000000" + // block 0: clen = 39
+		"14950d41" + // block 0: CRC-32C of the payload
 		"020709" + // pid dict: 2 entries, PIDs 7 and 9
 		"000301020001" + // pid runs: dict[0]×3, dict[1]×2, dict[0]×1
 		"0a0001001701" + // kind/tag: kind | zigzag(tag)<<2
 		"c8010204640402" + // seq deltas: zigzag, chained per PID from 0
-		"804000109040000f" + // range-start deltas: zigzag, chained per PID from 0
+		"804080409040904090400f" + // range-start deltas: zigzag, chained per (PID, kind) from 0
 		"040408080404" // range lengths
 	want, err := hex.DecodeString(golden)
 	if err != nil {
@@ -378,6 +381,133 @@ func TestV2GoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("golden mismatch:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestV2RangeStartChains: one process interleaves all four kinds across
+// block boundaries, with a second process between its runs, and each
+// kind's chain of range starts jumps between the two ends of the address
+// space while the other kinds' chains stand elsewhere. Every event reads
+// back, through plain and filtered reads. A chain that leaves the
+// address space is refused, though the previous start of the process, of
+// another kind, would have kept the same delta inside it.
+func TestV2RangeStartChains(t *testing.T) {
+	const top = 1<<32 - 1
+	rec := NewRecorder(0)
+	var nth [2][4]int // events so far per (process, kind)
+	for i := 0; i < 60; i++ {
+		p := (i / 3) % 2
+		kind := cpu.EventKind(i % 4)
+		if p == 1 {
+			kind = 3 - kind
+		}
+		start := uint32(0)
+		if (nth[p][kind]+int(kind)+p)%2 == 1 {
+			start = top
+		}
+		nth[p][kind]++
+		ev := cpu.Event{Kind: kind, PID: uint32(5 + 4*p), Seq: uint64(i), Range: mem.Range{Start: start, End: start}}
+		if start == 0 {
+			ev.Range.End = 16
+		}
+		rec.Event(ev)
+	}
+	for _, block := range []int{7, 64} {
+		var buf bytes.Buffer
+		bw := NewBlockWriter(&buf, uint64(rec.Len()), block)
+		for _, ev := range rec.Events {
+			if err := bw.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		if err != nil || !slices.Equal(back.Events, rec.Events) {
+			t.Fatalf("block %d: plain read differs (%v)", block, err)
+		}
+		keep := func(pid uint32) bool { return pid == 9 }
+		got := readAll(t, buf.Bytes(), 5, func(r *Reader, dst []cpu.Event) (int, error) { return r.NextBatchKeep(dst, keep) })
+		want := slices.DeleteFunc(slices.Clone(rec.Events), func(ev cpu.Event) bool { return !keep(ev.PID) })
+		if got.err != io.EOF || !slices.Equal(got.events, want) {
+			t.Fatalf("block %d: filtered read differs (%v)", block, got.err)
+		}
+	}
+
+	// A load at the top of the address space, a store at its bottom, and
+	// a load at the top again: the range-start column is the load's
+	// 5-byte delta and then two zeros, one per chain.
+	rec = NewRecorder(3)
+	rec.Event(cpu.Event{Kind: cpu.EvLoad, PID: 5, Seq: 1, Range: mem.Range{Start: top, End: top}})
+	rec.Event(cpu.Event{Kind: cpu.EvStore, PID: 5, Seq: 2, Range: mem.Range{Start: 0, End: 4}})
+	rec.Event(cpu.Event{Kind: cpu.EvLoad, PID: 5, Seq: 3, Range: mem.Range{Start: top, End: top}})
+	raw := encodeFormat(t, rec, FormatV2)
+	payload := raw[HeaderSize+blockHeaderSize:]
+	columns := []byte{1, 5, 0, 3, 0, 1, 0, 2, 2, 2}
+	columns = binary.AppendUvarint(columns, zigzag(top))
+	columns = append(columns, 0, 0, 0, 4, 0)
+	if !bytes.Equal(payload, columns) {
+		t.Fatalf("payload %x, want %x", payload, columns)
+	}
+	for _, c := range []struct {
+		name string
+		at   int  // of the range-start delta, from the payload's end
+		v    byte // zigzagged delta written there
+	}{
+		{"store below 0", 5, 1},      // -1 from the store chain's 0
+		{"load above the top", 4, 2}, // +1 from the load chain's top
+	} {
+		bad := slices.Clone(payload)
+		bad[len(bad)-c.at] = c.v
+		err := drain(reCRC(raw, bad))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "range start outside the address space") {
+			t.Errorf("%s: err = %v, want ErrCorrupt: range start outside the address space", c.name, err)
+		}
+	}
+}
+
+// TestTagBounds: every writer carries a tag anywhere in int32 and
+// refuses one outside it, because PIFTTRC1 (and a PIFTSNP1 snapshot)
+// stores tags in 32 bits: a tag no format can change reads back the same
+// from either, so verdicts cannot differ by format.
+func TestTagBounds(t *testing.T) {
+	sink := func(tag int) cpu.Event {
+		return cpu.Event{Kind: cpu.EvSinkCheck, PID: 7, Seq: 1, Range: mem.Range{Start: 64, End: 72}, Tag: tag}
+	}
+	rec := &Recorder{Events: []cpu.Event{sink(math.MinInt32), sink(math.MaxInt32)}}
+	for _, f := range []Format{FormatV1, FormatV2} {
+		back, err := ReadFrom(bytes.NewReader(encodeFormat(t, rec, f)))
+		if err != nil || !slices.Equal(back.Events, rec.Events) {
+			t.Fatalf("%v: tags %v did not round-trip (%v)", f, rec.Events, err)
+		}
+	}
+	// A compressed stream's varint holds a tag outside int32, so a
+	// hand-built one can carry it: its one sink's kind/tag value is the
+	// payload's fifth byte.
+	raw := encodeFormat(t, &Recorder{Events: []cpu.Event{sink(0)}}, FormatV2)
+	payload := raw[HeaderSize+blockHeaderSize:]
+	if payload[4] != byte(cpu.EvSinkCheck) {
+		t.Fatalf("payload %x: kind/tag value is not its fifth byte", payload)
+	}
+	for _, tag := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		rec := &Recorder{Events: []cpu.Event{sink(tag)}}
+		for _, f := range []Format{FormatV1, FormatV2} {
+			if _, err := rec.WriteToFormat(io.Discard, f); err == nil {
+				t.Errorf("tag %d: WriteToFormat(%v) accepted it", tag, f)
+			}
+		}
+		if err := NewBlockWriter(io.Discard, 1, 1).Append(sink(tag)); err == nil {
+			t.Errorf("tag %d: BlockWriter accepted it", tag)
+		}
+		big := slices.Concat(payload[:4], binary.AppendUvarint(nil, uint64(cpu.EvSinkCheck)|zigzag(int64(tag))<<2), payload[5:])
+		src := reCRC(raw, big)
+		if back, err := ReadFrom(bytes.NewReader(src)); err != nil || back.Events[0].Tag != tag {
+			t.Fatalf("tag %d: hand-built stream reads %v, %v", tag, back, err)
+		}
+		if _, err := Transcode(io.Discard, bytes.NewReader(src), FormatV1); err == nil {
+			t.Errorf("tag %d: Transcode to v1 accepted it", tag)
+		}
 	}
 }
 
